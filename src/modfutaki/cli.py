@@ -13,6 +13,11 @@ by binary floats):
 
 Exit codes are a stable contract: 0 ok, 2 input/validation error,
 3 evaluation error (pole), 4 solver failure, 5 verification failure.
+
+Sizes are bounded so that no input runs without limit: --precision (and
+FUTAKI_PRECISION_BITS) must lie in 64..4096 bits, and quantize --k must be
+positive with k*m at most 2048, m the Fano index. Anything outside fails with
+exit 2 before any computation starts.
 """
 
 from __future__ import annotations
@@ -40,12 +45,22 @@ EXIT_EVAL = 3
 EXIT_SOLVER = 4
 EXIT_VERIFY = 5
 
+MIN_PRECISION_BITS = 64
+MAX_PRECISION_BITS = 4096
+MAX_QUANTIZE_DEGREE = 2048
+
 
 def _parse_rational(text, field_name):
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"field {field_name!r}: not a rational: {text!r}") from exc
+
+
+def _parse_rationals(raw, field_name):
+    if not isinstance(raw, list):
+        raise ValidationError(f"field {field_name!r}: expected a list, got {raw!r}")
+    return tuple(_parse_rational(x, field_name) for x in raw)
 
 
 def load_input(doc):
@@ -67,11 +82,11 @@ def load_input(doc):
     if raw_eigen is None:
         eigenvalues = (Fraction(0),) * (ci.ambient_dim + 1)
     else:
-        eigenvalues = tuple(_parse_rational(x, "eigenvalues") for x in raw_eigen)
+        eigenvalues = _parse_rationals(raw_eigen, "eigenvalues")
 
     raw_weights = doc.get("weights")
     if raw_weights is not None:
-        weights = tuple(_parse_rational(x, "weights") for x in raw_weights)
+        weights = _parse_rationals(raw_weights, "weights")
         if ci.supports is not None:
             derived = derive_weights(ci, eigenvalues)
             if derived != weights:
@@ -184,10 +199,9 @@ def cmd_derivative(ci, field, args):
         raise ValidationError(f"--direction is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "eigenvalues" not in doc:
         raise ValidationError("--direction must be an object with 'eigenvalues'")
-    eigen = tuple(_parse_rational(x, "direction.eigenvalues")
-                  for x in doc["eigenvalues"])
+    eigen = _parse_rationals(doc["eigenvalues"], "direction.eigenvalues")
     if "weights" in doc:
-        wts = tuple(_parse_rational(x, "direction.weights") for x in doc["weights"])
+        wts = _parse_rationals(doc["weights"], "direction.weights")
     elif ci.supports is not None:
         wts = derive_weights(ci, eigen)
     else:
@@ -213,6 +227,10 @@ def cmd_quantize(ci, field, args):
     k = args.k
     if k < 1:
         raise ValidationError(f"--k must be a positive level, got {k}")
+    if k * ci.fano_index > MAX_QUANTIZE_DEGREE:
+        raise ValidationError(
+            f"--k {k} with fano index {ci.fano_index} exceeds the limit "
+            f"k*m <= {MAX_QUANTIZE_DEGREE}")
     dim = nk(ci, k)
     level_value = fk(ci, field, k, t, args.precision)
     reference = f_function(ci, field).evaluate(t, args.precision)
@@ -285,8 +303,9 @@ def cmd_verify(ci, field, args):
 
 
 def build_parser():
-    default_precision = int(os.environ.get("FUTAKI_PRECISION_BITS",
-                                           DEFAULT_PRECISION_BITS))
+    # a string default goes through type=int, so a bad value exits 2 too
+    default_precision = os.environ.get("FUTAKI_PRECISION_BITS",
+                                       str(DEFAULT_PRECISION_BITS))
     parser = argparse.ArgumentParser(
         prog="modfutaki",
         description="Tian-Zhu functional and modified Futaki invariant for "
@@ -299,7 +318,8 @@ def build_parser():
         p.add_argument("input", nargs="?", default="-",
                        help="path to the JSON input document, or - for stdin")
         p.add_argument("--precision", type=int, default=default_precision,
-                       help="working precision in bits")
+                       help=f"working precision in bits, {MIN_PRECISION_BITS}"
+                            f"..{MAX_PRECISION_BITS}")
         p.set_defaults(handler=fn)
         return p
 
@@ -317,7 +337,8 @@ def build_parser():
     p_der.add_argument("--t", default=None, help="rational evaluation point")
 
     p_q = add("quantize", cmd_quantize)
-    p_q.add_argument("--k", type=int, required=True, help="quantization level")
+    p_q.add_argument("--k", type=int, required=True,
+                     help=f"quantization level, k*m <= {MAX_QUANTIZE_DEGREE}")
     p_q.add_argument("--t", default="0", help="rational evaluation point")
 
     p_s = add("soliton", cmd_soliton)
@@ -350,8 +371,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "precision", 256) < 64:
-            raise ValidationError("--precision must be at least 64 bits")
+        if not MIN_PRECISION_BITS <= args.precision <= MAX_PRECISION_BITS:
+            raise ValidationError(
+                f"--precision must lie in {MIN_PRECISION_BITS}.."
+                f"{MAX_PRECISION_BITS} bits, got {args.precision}")
         doc = _read_document(args.input)
         ci, field = load_input(doc)
         return args.handler(ci, field, args)

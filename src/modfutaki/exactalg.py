@@ -41,7 +41,9 @@ class ExpPolyParseError(ValueError):
 
 
 def _to_mpf(x):
-    """Convert an exact scalar to mpf at the current working precision."""
+    """Convert a scalar, or a Dual of scalars, to mpf at the current working precision."""
+    if isinstance(x, Dual):
+        return Dual(_to_mpf(x.value), _to_mpf(x.derivative))
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
     return mpmath.mpf(x)
@@ -76,34 +78,39 @@ class Dual:
 
     __hash__ = None
 
+    # A plain scalar operand is never lifted to a Dual: its zero derivative
+    # would cost two extra multiplications and an addition per operation.
     def __add__(self, other):
-        o = Dual.lift(other)
-        return Dual(self.value + o.value, self.derivative + o.derivative)
+        if isinstance(other, Dual):
+            return Dual(self.value + other.value, self.derivative + other.derivative)
+        return Dual(self.value + other, self.derivative)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Dual.lift(other)
-        return Dual(self.value - o.value, self.derivative - o.derivative)
+        if isinstance(other, Dual):
+            return Dual(self.value - other.value, self.derivative - other.derivative)
+        return Dual(self.value - other, self.derivative)
 
     def __rsub__(self, other):
-        o = Dual.lift(other)
-        return Dual(o.value - self.value, o.derivative - self.derivative)
+        return Dual(other - self.value, -self.derivative)
 
     def __neg__(self):
         return Dual(-self.value, -self.derivative)
 
     def __mul__(self, other):
-        o = Dual.lift(other)
-        return Dual(self.value * o.value,
-                    self.value * o.derivative + self.derivative * o.value)
+        if isinstance(other, Dual):
+            return Dual(self.value * other.value,
+                        self.value * other.derivative + self.derivative * other.value)
+        return Dual(self.value * other, self.derivative * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Dual.lift(other)
-        q = self.value / o.value
-        return Dual(q, (self.derivative - q * o.derivative) / o.value)
+        if isinstance(other, Dual):
+            q = self.value / other.value
+            return Dual(q, (self.derivative - q * other.derivative) / other.value)
+        return Dual(self.value / other, self.derivative / other)
 
     def __rtruediv__(self, other):
         return Dual.lift(other) / self

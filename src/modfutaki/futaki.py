@@ -154,23 +154,27 @@ def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
     result = None
     for _ in range(_MAX_NUMERIC_RETRIES):
         with mpmath.workprec(precision_bits + guard):
-            lam = [_lift_numeric(x) for x in eigenvalues]
-            alph = [_lift_numeric(x) for x in weights]
-            coeffs = expand_equivariant_product(ci.degrees, alph, mpmath.mpf(1))
+            lam = [_to_mpf(x) for x in eigenvalues]
+            alph = [_to_mpf(x) for x in weights]
+            one = mpmath.mpf(1)
+            dual = any(isinstance(x, Dual) for x in lam + alph)
+            if dual:
+                # every scalar a Dual, so that no mpf ever stands left of a Dual
+                lam = [Dual.lift(x) for x in lam]
+                alph = [Dual.lift(x) for x in alph]
+                one = Dual(one, mpmath.mpf(0))
+            coeffs = expand_equivariant_product(ci.degrees, alph, one)
             moments = i0l_numeric_all(n, m, lam, s, precision_bits + guard)
             pieces = []
             for (j, l), c in coeffs.items():
                 kappa = Fraction(m ** (n - j), factorial(n - j) * m ** l)
                 pieces.append(c * _to_mpf(kappa) * moments[l])
             total = mpmath.fsum(primal(p) for p in pieces)
-            tang = mpmath.fsum(p.derivative for p in pieces
-                               if isinstance(p, Dual))
-            shift = mpmath.mpf(0)
-            for a in alph:
-                shift = shift + a
-            prefactor = -_to_mpf(_normalization(ci)) * scalar_exp(shift)
-            if any(isinstance(p, Dual) for p in pieces) or isinstance(shift, Dual):
-                result = Dual.lift(prefactor) * Dual(total, tang)
+            shift = sum(alph[1:], alph[0]) if alph else mpmath.mpf(0)
+            prefactor = scalar_exp(shift) * -_to_mpf(_normalization(ci))
+            if dual:
+                tang = mpmath.fsum(p.derivative for p in pieces)
+                result = Dual(total, tang) * prefactor
             else:
                 result = prefactor * total
             top = max((abs(primal(p)) for p in pieces), default=mpmath.mpf(0))
@@ -183,11 +187,3 @@ def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
             return result
         guard = cancel + _NUMERIC_GUARD_BITS
     return result
-
-
-def _lift_numeric(x):
-    if isinstance(x, Dual):
-        return Dual(_lift_numeric(x.value), _lift_numeric(x.derivative))
-    if isinstance(x, Fraction):
-        return _to_mpf(x)
-    return mpmath.mpf(x)

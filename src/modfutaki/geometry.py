@@ -46,6 +46,17 @@ class InadmissibleDirection(ValidationError):
     code = "inadmissible_direction"
 
 
+def _integer(x, what):
+    """x as an int; booleans and non-integral numbers are rejected."""
+    try:
+        value = int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be an integer, got {x!r}") from exc
+    if isinstance(x, bool) or (not isinstance(x, str) and value != x):
+        raise ValidationError(f"{what} must be an integer, got {x!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class CompleteIntersectionSpec:
     """An (N-s)-dimensional complete intersection of degrees d_1..d_s in P^N.
@@ -60,13 +71,14 @@ class CompleteIntersectionSpec:
 
     @classmethod
     def create(cls, ambient_dim, degrees, supports=None):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(_integer(d, "degree") for d in degrees)
         if supports is not None:
             supports = tuple(
-                tuple(tuple(int(a) for a in mono) for mono in sup)
+                tuple(tuple(_integer(a, "support exponent") for a in mono)
+                      for mono in sup)
                 for sup in supports
             )
-        ci = cls(int(ambient_dim), degrees, supports)
+        ci = cls(_integer(ambient_dim, "ambient dimension"), degrees, supports)
         ci.check()
         return ci
 

@@ -9,6 +9,11 @@ The numeric pipeline evaluates divided differences through the bidiagonal
 node-matrix representation (nodes on the diagonal, ones above it; the divided
 difference is the top-right entry of the matrix function), which is stable for
 clustered and coincident nodes where the Lagrange form cancels catastrophically.
+For n nodes the kernel never forms a dense product: each Taylor (Horner) step
+multiplies by the bidiagonal matrix, O(n^2); each squaring multiplies upper
+triangular matrices, about n^3/6 products, and the last forms only the last
+column, O(n^2); each further power x^i costs O(n). Callers bound the size of
+the work: the command line accepts 64..4096 bits of precision.
 """
 
 from __future__ import annotations
@@ -128,15 +133,19 @@ def _i0l_from_dds(ambient_dim, m, dds, l):
     e^(m x)/m^N; integrating picks up the correction terms below, and the
     node rescaling by t contributes t^(i-N).
     """
-    n = ambient_dim
     total = ExpPoly.zero()
     for i in range(l + 1):
-        c = Fraction(
-            comb(l, i) * (-1) ** (l - i) * factorial(n + l - i - 1) * factorial(n),
-            factorial(n - 1),
-        ) * Fraction(m) ** (i - n)
-        total = total + dds[i].mul_laurent(LaurentPoly.t_power(i - n, c))
+        c = _moment_coefficient(ambient_dim, m, l, i)
+        total = total + dds[i].mul_laurent(LaurentPoly.t_power(i - ambient_dim, c))
     return total
+
+
+def _moment_coefficient(n, m, l, i):
+    """Factor of DD(x^i e^(m x)) in the l-th theta-moment over P^n."""
+    return Fraction(
+        comb(l, i) * (-1) ** (l - i) * factorial(n + l - i - 1) * factorial(n),
+        factorial(n - 1),
+    ) * Fraction(m) ** (i - n)
 
 
 def i0l_symbolic(ambient_dim, m, eigenvalues, l, tangents=None):
@@ -163,26 +172,29 @@ def _mag(x):
     return abs(x)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+def _expm_last_column(diag, sup, precision_bits):
+    """Last column of exp(B) for the upper bidiagonal B = diag(diag) + sup*J.
 
-
-def _expm(a, precision_bits):
-    """exp of a small dense matrix by scaling and squaring.
-
-    The Taylor degree is chosen so the truncation bound at the working
-    precision holds once the scaled norm is at most 1/2.
+    J has ones just above the diagonal, and the diag entries are all Dual or
+    all mpf. Scaling and squaring: B/2^sigma has row-sum norm at most 1/2,
+    and the Taylor degree is chosen so the truncation bound holds at the
+    working precision. Upper-triangular matrices are stored by rows from the
+    diagonal on (row i holds columns i..n-1). Each Horner step multiplies by
+    the bidiagonal B, O(n^2); each squaring multiplies upper-triangular
+    matrices, O(n^3/6), and the last one forms only the last column, O(n^2).
+    A Dual factor always stands left of an mpf one: mpf * Dual would have
+    mpmath format the Dual for an error message before deferring to it.
     """
-    n = len(a)
-    norm = max(sum(_mag(x) for x in row) for row in a)
+    n = len(diag)
+    norm = max(_mag(d) + _mag(sup) if i + 1 < n else _mag(d)
+               for i, d in enumerate(diag))
     sigma = 0
     while norm > mpmath.mpf("0.5"):
         norm = norm / 2
         sigma += 1
     scale = mpmath.mpf(2) ** (-sigma)
-    b = [[x * scale for x in row] for row in a]
+    diag = [d * scale for d in diag]
+    sup = sup * scale
 
     # tail of sum_{j>J} (1/2)^j / j! is below 2*(1/2)^(J+1)/(J+1)!
     degree = 1
@@ -192,59 +204,52 @@ def _expm(a, precision_bits):
         degree += 1
         tail = 2 * mpmath.mpf(2) ** (-(degree + 1)) / factorial(degree + 1)
 
-    ident = [[mpmath.mpf(1) if i == j else mpmath.mpf(0) for j in range(n)]
-             for i in range(n)]
-    out = [row[:] for row in ident]
+    one = mpmath.mpf(1)
+    out = [[one] + [mpmath.mpf(0)] * (n - 1 - i) for i in range(n)]
     for j in range(degree, 0, -1):
-        inv = mpmath.mpf(1) / j
-        out = _mat_mul(b, out)
-        out = [[out[i][k] * inv + ident[i][k] for k in range(n)] for i in range(n)]
-    for _ in range(sigma):
-        out = _mat_mul(out, out)
-    return out
+        inv = one / j
+        # row i of (B @ out / j + I), from rows i and i+1 of out
+        out = [[d * row[0] * inv + one]
+               + [(d * row[k] + below[k - 1] * sup) * inv for k in range(1, len(row))]
+               for d, row, below in zip(diag, out, out[1:] + [None])]
+
+    def square_entry(a, i, k):
+        row = a[i]
+        return sum((row[j - i] * a[j][k - j] for j in range(i + 1, k + 1)),
+                   row[0] * row[k - i])
+
+    for _ in range(sigma - 1):
+        out = [[square_entry(out, i, k) for k in range(i, n)] for i in range(n)]
+    if sigma:
+        return [square_entry(out, i, n - 1) for i in range(n)]
+    return [row[-1] for row in out]
 
 
 def _dd_numeric_multi(max_power, m, nodes, precision_bits):
-    """DD(x^i e^(m x); nodes) for i = 0..max_power, one matrix exponential."""
+    """DD(x^i e^(m x); nodes) for i = 0..max_power, one matrix exponential.
+
+    With Z the node matrix, the i-th divided difference is the top entry of
+    Z^i exp(m Z) e_n. The exponential is taken of m (Z - c) around the node
+    mean c, and the powers follow from the recurrence col <- Z col, O(n) each.
+    """
     n = len(nodes)
-    norm_guess = 1 + abs(m) * max(float(_mag(_to_mpf(primal(x))
-                                         if isinstance(primal(x), Fraction)
-                                         else primal(x))) for x in nodes)
+    norm_guess = 1 + abs(m) * max(float(abs(_to_mpf(primal(x)))) for x in nodes)
     sigma_guess = max(0, int(mpmath.log(norm_guess, 2)) + 2)
     work = precision_bits + 64 + 2 * sigma_guess
     with mpmath.workprec(work):
-        xs = []
-        for x in nodes:
-            if isinstance(x, Dual):
-                xs.append(Dual(_to_mpf(x.value) if isinstance(x.value, Fraction)
-                               else mpmath.mpf(x.value),
-                               _to_mpf(x.derivative) if isinstance(x.derivative, Fraction)
-                               else mpmath.mpf(x.derivative)))
-            else:
-                xs.append(_to_mpf(x) if isinstance(x, Fraction) else mpmath.mpf(x))
+        xs = [_to_mpf(x) for x in nodes]
+        if any(isinstance(x, Dual) for x in xs):
+            xs = [Dual.lift(x) for x in xs]
         center = mpmath.fsum(primal(x) for x in xs) / n
-        mm = _to_mpf(Fraction(m)) if isinstance(m, (int, Fraction)) else mpmath.mpf(m)
-
-        shifted = [[mpmath.mpf(0)] * n for _ in range(n)]
-        for i in range(n):
-            shifted[i][i] = mm * (xs[i] - center)
-            if i + 1 < n:
-                shifted[i][i + 1] = mm
-        e = _expm(shifted, work)
+        mm = _to_mpf(m)
         front = mpmath.exp(mm * center)
-        e = [[x * front for x in row] for row in e]
-
-        z = [[mpmath.mpf(0)] * n for _ in range(n)]
-        for i in range(n):
-            z[i][i] = xs[i]
-            if i + 1 < n:
-                z[i][i + 1] = mpmath.mpf(1)
-
-        out = [e[0][n - 1]]
-        current = e
+        col = [c * front
+               for c in _expm_last_column([(x - center) * mm for x in xs], mm, work)]
+        out = [col[0]]
         for _ in range(max_power):
-            current = _mat_mul(z, current)
-            out.append(current[0][n - 1])
+            col = [x * c + below for x, c, below in zip(xs, col, col[1:])] \
+                + [xs[-1] * col[-1]]
+            out.append(col[0])
         return out
 
 
@@ -259,20 +264,13 @@ def dd_numeric(l, m, nodes, precision_bits=DEFAULT_PRECISION_BITS):
 
 def i0l_numeric_all(ambient_dim, m, eigenvalues, max_l, precision_bits):
     """Numeric theta-moment integrals for l = 0..max_l at real eigenvalues."""
-    n = ambient_dim
     dds = _dd_numeric_multi(max_l, m, list(eigenvalues), precision_bits)
     out = []
     with mpmath.workprec(precision_bits + 32):
         for l in range(max_l + 1):
-            total = mpmath.mpf(0)
-            for i in range(l + 1):
-                c = Fraction(
-                    comb(l, i) * (-1) ** (l - i)
-                    * factorial(n + l - i - 1) * factorial(n),
-                    factorial(n - 1),
-                ) * Fraction(m) ** (i - n)
-                total = total + _to_mpf(c) * dds[i]
-            out.append(total)
+            terms = [dds[i] * _to_mpf(_moment_coefficient(ambient_dim, m, l, i))
+                     for i in range(l + 1)]
+            out.append(sum(terms[1:], terms[0]))
     return out
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from modfutaki import parse_exppoly
+from modfutaki import cli, parse_exppoly
 from modfutaki.cli import main
 
 from conftest import CUBIC_F
@@ -184,3 +184,90 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         code, _ = run(capsys, "verify", str(path))
         assert code == 2
+
+
+def error_code(out):
+    return json.loads(out)["error"]["code"]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("doc", [
+        {"ambient_dim": 3, "degrees": [3], "eigenvalues": 5},
+        {"ambient_dim": 3, "degrees": [2], "eigenvalues": ["1", "-1", "0", "0"],
+         "weights": "1"},
+        {"ambient_dim": True, "degrees": [1]},
+        {"ambient_dim": 3.5, "degrees": [3]},
+        {"ambient_dim": 3, "degrees": [1.5]},
+        {"ambient_dim": 3, "degrees": [True]},
+        {"ambient_dim": 3, "degrees": [3], "supports": [[[1, 2, 0, 0.5]]]},
+    ])
+    def test_exit_2_invalid_input(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "--format", "json", "eval", str(path))
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+
+    def test_non_list_direction_exit_2(self, cubic_path, capsys):
+        code, out = run(capsys, "--format", "json", "derivative", cubic_path,
+                        "--direction", json.dumps({"eigenvalues": 5}))
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("a refused input must not start a computation")
+
+
+class TestLimits:
+    def test_precision_above_limit(self, cubic_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "f_function", refuse_work)
+        code, out = run(capsys, "--format", "json", "eval", cubic_path,
+                        "--t", "1/4", "--precision", "10000000")
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+
+    def test_precision_from_environment_above_limit(self, cubic_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "f_function", refuse_work)
+        monkeypatch.setenv("FUTAKI_PRECISION_BITS", "10000000")
+        code, out = run(capsys, "--format", "json", "eval", cubic_path,
+                        "--t", "1/4")
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+
+    def test_precision_from_environment_not_an_integer(self, cubic_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("FUTAKI_PRECISION_BITS", "lots")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", cubic_path])
+        assert exc.value.code == 2
+
+    def test_precision_at_limit(self, cubic_path, capsys):
+        code, out = run(capsys, "--format", "json", "eval", cubic_path,
+                        "--t", "1/4", "--precision", str(cli.MAX_PRECISION_BITS))
+        assert code == 0
+        assert json.loads(out)["numeric"]["precision_bits"] == cli.MAX_PRECISION_BITS
+
+    def test_k_above_limit(self, cubic_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "nk", refuse_work)
+        monkeypatch.setattr(cli, "fk", refuse_work)
+        code, out = run(capsys, "--format", "json", "quantize", cubic_path,
+                        "--k", "100000")
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+
+    def test_k_limit_counts_fano_index(self, tmp_path, capsys, monkeypatch):
+        # the plane has m = 3, so the largest level is 2048 // 3
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps({"ambient_dim": 2, "degrees": []}))
+        top = cli.MAX_QUANTIZE_DEGREE // 3
+        code, out = run(capsys, "--format", "json", "quantize", str(path),
+                        "--k", str(top))
+        assert code == 0
+        assert json.loads(out)["k"] == top
+        monkeypatch.setattr(cli, "fk", refuse_work)
+        code, out = run(capsys, "--format", "json", "quantize", str(path),
+                        "--k", str(top + 1))
+        assert code == 2
+        assert error_code(out) == "invalid_input"

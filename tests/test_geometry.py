@@ -7,8 +7,8 @@ import pytest
 
 from modfutaki import (CompleteIntersectionSpec, DiagonalField,
                        InconsistentWeights, MalformedSupport, NotFano,
-                       NotTraceless, anticanonical_degree, derive_weights,
-                       validate)
+                       NotTraceless, ValidationError, anticanonical_degree,
+                       derive_weights, validate)
 
 from conftest import CUBIC, CUBIC_FIELD, QUADRICS, QUADRICS_FIELD
 
@@ -82,6 +82,26 @@ class TestValidate:
         ci = CompleteIntersectionSpec.create(3, [2])
         field = DiagonalField.create([2, -1, -1, 0], [F(7, 2)])
         assert validate(ci, field)
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("ambient_dim,degrees,supports", [
+        (True, [1], None),
+        (3.5, [3], None),
+        (F(7, 2), [3], None),
+        (4, [True, 2], None),
+        (3, [2.5], None),
+        (3, [3], [[[1, 2, 0, 0.5]]]),
+        (3, [3], [[[1, 1, True, 0]]]),
+        ([3], [3], None),
+    ])
+    def test_rejected(self, ambient_dim, degrees, supports):
+        with pytest.raises(ValidationError):
+            CompleteIntersectionSpec.create(ambient_dim, degrees, supports)
+
+    def test_integral_numbers_accepted(self):
+        assert CompleteIntersectionSpec.create(3.0, [F(3)]) == \
+            CompleteIntersectionSpec.create(3, [3])
 
 
 class TestAnticanonicalDegree:

@@ -9,7 +9,10 @@ import pytest
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
                        LaurentPoly, NodeMultiset, dd_numeric, i0l_symbolic,
                        ik0_symbolic, verify_recursion)
-from modfutaki.localization import i0l_numeric_all
+from modfutaki.exactalg import Dual, _to_mpf
+from modfutaki.futaki import f_numeric
+from modfutaki.localization import (_dd_numeric_multi, _dd_pow_exp_all,
+                                    i0l_numeric_all)
 
 from conftest import (CUBIC, CUBIC_FIELD, CUBIC_I00, CUBIC_I01, QUADRICS,
                       QUADRICS_FIELD, QUADRICS_I00, QUADRICS_I01, QUADRICS_I02)
@@ -150,6 +153,89 @@ class TestNumeric:
             for l in range(3):
                 sym = i0l_symbolic(4, 2, tuple(lam), l).evaluate(1, 256)
                 assert abs(moments[l] - sym) < mpmath.mpf(2) ** -220 * (1 + abs(sym))
+
+
+def kernel_nodes(rng, n, kind):
+    """n + 1 nodes: spread, clustered within 2^-20, or in two repeated blocks.
+
+    The nodes are dyadic, so Dual inputs hold them exactly and a comparison
+    with the exact kernel measures the numeric kernel, not input rounding.
+    """
+    def dyadic():
+        return F(rng.randint(-32, 32), rng.choice((1, 2, 4, 8)))
+
+    if kind == "spread":
+        return [dyadic() for _ in range(n + 1)]
+    if kind == "clustered":
+        base = dyadic()
+        return [base + F(rng.randint(-64, 64), 2 ** 26) for _ in range(n + 1)]
+    a, b = dyadic(), dyadic()
+    return [a if i % 3 else b for i in range(n + 1)]
+
+
+def assert_close(num, exact, bits):
+    """Relative agreement to bits - 16 bits (absolute when exact is 0)."""
+    scale = abs(exact) if exact else mpmath.mpf(1)
+    assert abs(num - exact) <= mpmath.mpf(2) ** -(bits - 16) * scale, (num, exact)
+
+
+KERNEL_CASES = [(n, kind) for n in (3, 6, 10, 16, 24)
+                for kind in ("spread", "clustered", "coincident")]
+
+
+class TestBidiagonalKernel:
+    BITS = 192
+
+    @pytest.mark.parametrize("n,kind", KERNEL_CASES)
+    def test_values_match_exact(self, n, kind):
+        rng = random.Random(100 * n + len(kind))
+        nodes = kernel_nodes(rng, n, kind)
+        m = rng.randint(1, 3)
+        exact = [dd.evaluate(1, self.BITS)
+                 for dd in _dd_pow_exp_all(2, m, nodes)]
+        for l in range(3):
+            assert_close(dd_numeric(l, m, nodes, self.BITS), exact[l], self.BITS)
+        tangents = [F(rng.randint(-3, 3)) for _ in nodes]
+        duals = [_to_mpf(Dual(x, v)) for x, v in zip(nodes, tangents)]
+        exact_dual = [dd.dual_parts()
+                      for dd in _dd_pow_exp_all(2, m, nodes, tangents)]
+        for l, got in enumerate(_dd_numeric_multi(2, m, duals, self.BITS)):
+            value, tangent = exact_dual[l]
+            assert_close(got.value, value.evaluate(1, self.BITS), self.BITS)
+            assert_close(got.derivative, tangent.evaluate(1, self.BITS), self.BITS)
+
+    @pytest.mark.parametrize("n,kind", [(3, "spread"), (6, "clustered"),
+                                        (10, "coincident"), (16, "spread")])
+    def test_tangent_is_confluent_divided_difference(self, n, kind):
+        # d/dx_j f[x_0..x_n] = f[x_0, .., x_j, x_j, .., x_n]
+        rng = random.Random(7 * n)
+        nodes = kernel_nodes(rng, n, kind)
+        m = rng.randint(1, 3)
+        for j in (0, n // 2, n):
+            duals = [_to_mpf(Dual(x, int(i == j))) for i, x in enumerate(nodes)]
+            got = _dd_numeric_multi(1, m, duals, self.BITS)
+            confluent = _dd_pow_exp_all(1, m, nodes + [nodes[j]])
+            for l in range(2):
+                assert_close(got[l].derivative,
+                             confluent[l].evaluate(1, self.BITS), self.BITS)
+
+    def test_dual_f_numeric_never_converts_a_dual(self, monkeypatch):
+        # mpf * Dual makes mpmath format repr(Dual) before deferring to Dual
+        calls = []
+        fallback = mpmath.mp._convert_fallback
+
+        def counting(x, strings):
+            calls.append(type(x).__name__)
+            return fallback(x, strings)
+
+        monkeypatch.setattr(mpmath.mp, "_convert_fallback", counting)
+        lam = [Dual(mpmath.mpf(x), mpmath.mpf(v))
+               for x, v in zip((-7, 3, -2, 5, 1), (1, -1, 0, 2, -2))]
+        wts = [Dual(mpmath.mpf(-4), mpmath.mpf(1)),
+               Dual(mpmath.mpf(6), mpmath.mpf(-2))]
+        result = f_numeric(QUADRICS, lam, wts, 128)
+        assert isinstance(result, Dual)
+        assert calls == []
 
 
 class TestIntersectionLevels:
