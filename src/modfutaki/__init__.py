@@ -5,19 +5,16 @@ trace oracle and a solver for the candidate soliton field.
 """
 
 from .exactalg import (DEFAULT_PRECISION_BITS, Dual, EvalAtPole, ExpPoly,
-                       ExpPolyParseError, LaurentPoly, PoleAtZero,
-                       exppoly_add, exppoly_eval, exppoly_limit_at_zero,
-                       exppoly_mul, exppoly_series, exppoly_t_derivative,
-                       format_exppoly, parse_exppoly)
-from .futaki import (EquivMixedPoly, expand_integrand, f_function,
-                     f_function_via_recursion, f_numeric, fut_derivative)
+                       ExpPolyParseError, LaurentPoly, PoleAtZero)
+from .futaki import (expand_integrand, f_function, f_function_via_recursion,
+                     f_numeric, fut_derivative)
 from .geometry import (CompleteIntersectionSpec, DiagonalField,
                        InadmissibleDirection, InconsistentWeights,
                        MalformedSupport, NotFano, NotTraceless,
                        ValidationError, anticanonical_degree, derive_weights,
                        validate)
-from .localization import (NodeMultiset, RecursionCheck, dd_numeric,
-                           i0l_symbolic, ik0_symbolic, verify_recursion)
+from .localization import (RecursionCheck, dd_numeric, i0l_symbolic,
+                           ik0_symbolic, verify_recursion)
 from .quantize import (ConvergenceRow, character_trace, convergence_report,
                        fk, nk)
 from .soliton import (AdmissibleTorus, CriticalReport, NoConvergence,
@@ -29,16 +26,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibleTorus", "CompleteIntersectionSpec", "ConvergenceRow",
     "CriticalReport", "DEFAULT_PRECISION_BITS", "DiagonalField", "Dual",
-    "EquivMixedPoly", "EvalAtPole", "ExpPoly", "ExpPolyParseError",
-    "InadmissibleDirection", "InconsistentWeights", "LaurentPoly",
-    "MalformedSupport", "NoConvergence", "NodeMultiset", "NotFano",
-    "NotTraceless", "PoleAtZero", "RecursionCheck", "SolitonResult",
-    "ValidationError", "admissible_torus", "anticanonical_degree",
-    "character_trace", "check_critical", "convergence_report", "dd_numeric",
-    "derive_weights", "expand_integrand", "exppoly_add", "exppoly_eval",
-    "exppoly_limit_at_zero", "exppoly_mul", "exppoly_series",
-    "exppoly_t_derivative", "f_function", "f_function_via_recursion",
-    "f_numeric", "find_soliton", "fk", "format_exppoly", "fut_derivative",
-    "i0l_symbolic", "ik0_symbolic", "nk", "parse_exppoly", "validate",
+    "EvalAtPole", "ExpPoly", "ExpPolyParseError", "InadmissibleDirection",
+    "InconsistentWeights", "LaurentPoly", "MalformedSupport", "NoConvergence",
+    "NotFano", "NotTraceless", "PoleAtZero", "RecursionCheck",
+    "SolitonResult", "ValidationError", "admissible_torus",
+    "anticanonical_degree", "character_trace", "check_critical",
+    "convergence_report", "dd_numeric", "derive_weights", "expand_integrand",
+    "f_function", "f_function_via_recursion", "f_numeric", "find_soliton",
+    "fk", "fut_derivative", "i0l_symbolic", "ik0_symbolic", "nk", "validate",
     "verify_recursion",
 ]

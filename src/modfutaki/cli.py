@@ -17,7 +17,9 @@ Exit codes are a stable contract: 0 ok, 2 input/validation error,
 Sizes are bounded so that no input runs without limit: --precision (and
 FUTAKI_PRECISION_BITS) must lie in 64..4096 bits, and quantize --k must be
 positive with k*m at most 2048, m the Fano index. Anything outside fails with
-exit 2 before any computation starts.
+exit 2 before any computation starts. Usage errors (an unknown option, a
+non-integer --k or FUTAKI_PRECISION_BITS) exit 2 as well; under --format json
+they print the same error document as every other invalid input.
 """
 
 from __future__ import annotations
@@ -176,8 +178,8 @@ def cmd_check(ci, field, args):
     return EXIT_OK
 
 
-def cmd_eval(ci, field, args):
-    value = f_function(ci, field)
+def _numeric_block(ci, field, value, args):
+    """The expression, the metadata and, with --t, the value at t."""
     payload = _expression_block(value)
     payload["metadata"] = _metadata(ci, field)
     if args.t is not None:
@@ -188,7 +190,11 @@ def cmd_eval(ci, field, args):
             "precision_bits": args.precision,
             **_format_mpf(numeric, args.precision),
         }
-    _emit(payload, args)
+    return payload
+
+
+def cmd_eval(ci, field, args):
+    _emit(_numeric_block(ci, field, f_function(ci, field), args), args)
     return EXIT_OK
 
 
@@ -208,17 +214,7 @@ def cmd_derivative(ci, field, args):
         wts = (Fraction(0),) * ci.codim
     direction = DiagonalField(eigen, wts)
     value = fut_derivative(ci, field, direction)
-    payload = _expression_block(value)
-    payload["metadata"] = _metadata(ci, field)
-    if args.t is not None:
-        t = _parse_rational(args.t, "--t")
-        numeric = value.evaluate(t, args.precision)
-        payload["numeric"] = {
-            "t": str(t),
-            "precision_bits": args.precision,
-            **_format_mpf(numeric, args.precision),
-        }
-    _emit(payload, args)
+    _emit(_numeric_block(ci, field, value, args), args)
     return EXIT_OK
 
 
@@ -302,11 +298,24 @@ def cmd_verify(ci, field, args):
     return EXIT_OK if not failed else EXIT_VERIFY
 
 
+class _UsageError(ValidationError):
+    """A command-line usage error, with the parser that found it."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser():
     # a string default goes through type=int, so a bad value exits 2 too
     default_precision = os.environ.get("FUTAKI_PRECISION_BITS",
                                        str(DEFAULT_PRECISION_BITS))
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="modfutaki",
         description="Tian-Zhu functional and modified Futaki invariant for "
                     "Fano complete intersections in projective space")
@@ -327,8 +336,6 @@ def build_parser():
 
     p_eval = add("eval", cmd_eval)
     p_eval.add_argument("--t", default=None, help="rational evaluation point")
-    p_eval.add_argument("--numeric", action="store_true",
-                        help="kept for compatibility; numeric output follows --t")
 
     p_der = add("derivative", cmd_derivative)
     p_der.add_argument("--direction", required=True,
@@ -369,8 +376,9 @@ def _read_document(path):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace()
     try:
+        parser.parse_args(argv, args)
         if not MIN_PRECISION_BITS <= args.precision <= MAX_PRECISION_BITS:
             raise ValidationError(
                 f"--precision must lie in {MIN_PRECISION_BITS}.."
@@ -379,6 +387,9 @@ def main(argv=None):
         ci, field = load_input(doc)
         return args.handler(ci, field, args)
     except ValidationError as exc:
+        # --format is parsed before a subcommand whose arguments fail
+        if isinstance(exc, _UsageError) and args.format != "json":
+            argparse.ArgumentParser.error(exc.parser, str(exc))
         _report_error(args, exc.code, str(exc))
         return EXIT_INVALID
     except (PoleAtZero, EvalAtPole) as exc:
@@ -390,7 +401,7 @@ def main(argv=None):
 
 
 def _report_error(args, code, message):
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps({"error": {"code": code, "message": message}},
                          indent=2, sort_keys=True))
     else:

@@ -10,6 +10,13 @@ Canonical form (no stored zero coefficients, frequencies exact rationals) is
 maintained eagerly by every constructor and operation, so structural equality
 of two values is equivalent to their equality as functions of t.
 
+Numeric values are guarded against cancellation by one rule, `guarded`,
+shared by ExpPoly.evaluate, the numeric twin and the quantized trace: a sum
+of pieces is taken at precision + guard bits, and it is accepted when its
+cancellation, log2(max |piece| / |sum|), plus 16 is at most the guard (a zero
+sum counts as full cancellation); otherwise it is taken again with the guard
+set to the cancellation plus 64, four passes at most.
+
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
 """
@@ -24,8 +31,7 @@ import mpmath
 
 DEFAULT_PRECISION_BITS = 256
 
-_EVAL_GUARD_BITS = 32
-_MAX_EVAL_RETRIES = 4
+_MAX_GUARD_PASSES = 4
 
 
 class PoleAtZero(ArithmeticError):
@@ -151,6 +157,28 @@ def tangent(x):
     return x.derivative if isinstance(x, Dual) else 0
 
 
+def guarded(compute, precision_bits, guard):
+    """The result of compute(work_bits) -> (result, pieces), by the guard rule.
+
+    Dual pieces are measured by their primal parts. The result of the last
+    pass is returned as it stands.
+    """
+    for _ in range(_MAX_GUARD_PASSES):
+        work_bits = precision_bits + guard
+        with mpmath.workprec(work_bits):
+            result, pieces = compute(work_bits)
+            total = mpmath.fsum(primal(p) for p in pieces)
+            top = max((abs(primal(p)) for p in pieces), default=mpmath.mpf(0))
+            if total == 0 or top == 0:
+                cancel = guard
+            else:
+                cancel = max(0, int(mpmath.log(top / abs(total), 2)) + 1)
+        if cancel + 16 <= guard:
+            return result
+        guard = cancel + 64
+    return result
+
+
 class LaurentPoly:
     """Finite Laurent polynomial in t, stored as exponent -> nonzero coefficient.
 
@@ -187,9 +215,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def min_exp(self):
-        return min(self.terms) if self.terms else None
 
     def max_exp(self):
         return max(self.terms) if self.terms else None
@@ -367,10 +392,6 @@ class ExpPoly:
             raise ValueError("t-rescaling requires a nonzero factor")
         return ExpPoly({mu * c: lp.scale_t(c) for mu, lp in self.terms.items()})
 
-    def min_laurent_exp(self):
-        exps = [lp.min_exp() for lp in self.terms.values()]
-        return min(exps) if exps else None
-
     def series(self, order):
         """Exact truncated expansion around t = 0 through the t^order term.
 
@@ -402,8 +423,8 @@ class ExpPoly:
     def evaluate(self, t, precision_bits=DEFAULT_PRECISION_BITS):
         """Numeric value at rational t with the requested working precision.
 
-        Internally the precision is raised until the observed cancellation
-        between terms leaves at least precision_bits of headroom.
+        The working precision carries a guard of 32 bits, raised by
+        `guarded` while the terms cancel.
         """
         t = Fraction(t)
         if t == 0:
@@ -415,22 +436,13 @@ class ExpPoly:
                 return _to_mpf(limit)
         if not self.terms:
             return mpmath.mpf(0)
-        guard = _EVAL_GUARD_BITS
-        for _ in range(_MAX_EVAL_RETRIES):
-            with mpmath.workprec(precision_bits + guard):
-                pieces = []
-                for mu, lp in self.terms.items():
-                    pieces.append(lp.eval_mpf(_to_mpf(t)) * mpmath.exp(_to_mpf(mu * t)))
-                total = mpmath.fsum(pieces)
-                top = max((abs(p) for p in pieces), default=mpmath.mpf(0))
-                if total == 0 or top == 0:
-                    cancel = guard  # forces one retry, then gives up gracefully
-                else:
-                    cancel = max(0, int(mpmath.log(top / abs(total), 2)) + 1)
-            if cancel + _EVAL_GUARD_BITS // 2 <= guard:
-                return total
-            guard = cancel + _EVAL_GUARD_BITS * 2
-        return total
+
+        def compute(work_bits):
+            pieces = [lp.eval_mpf(_to_mpf(t)) * mpmath.exp(_to_mpf(mu * t))
+                      for mu, lp in self.terms.items()]
+            return mpmath.fsum(pieces), pieces
+
+        return guarded(compute, precision_bits, 32)
 
     def dual_parts(self):
         """Split Dual coefficients into (primal, tangent) exponential polynomials."""
@@ -494,34 +506,3 @@ class ExpPoly:
                 self.terms.items(), key=lambda kv: kv[0]))
             return f"ExpPoly{{{inner}}}"
 
-
-def exppoly_add(p, q):
-    return p + q
-
-
-def exppoly_mul(p, q):
-    return p * q
-
-
-def exppoly_t_derivative(p):
-    return p.t_derivative()
-
-
-def exppoly_series(p, order):
-    return p.series(order)
-
-
-def exppoly_limit_at_zero(p):
-    return p.limit_at_zero()
-
-
-def exppoly_eval(p, t, precision_bits=DEFAULT_PRECISION_BITS):
-    return p.evaluate(t, precision_bits)
-
-
-def format_exppoly(p):
-    return p.to_string()
-
-
-def parse_exppoly(text):
-    return ExpPoly.parse(text)

@@ -29,27 +29,6 @@ from .exactalg import (DEFAULT_PRECISION_BITS, Dual, ExpPoly, LaurentPoly,
 from .geometry import validate
 
 
-@dataclass(frozen=True)
-class NodeMultiset:
-    """Distinct node values with multiplicities, in increasing order."""
-
-    values: tuple
-    multiplicities: tuple
-
-    @classmethod
-    def from_nodes(cls, nodes):
-        groups = {}
-        for x in nodes:
-            x = Fraction(x)
-            groups[x] = groups.get(x, 0) + 1
-        values = tuple(sorted(groups))
-        return cls(values, tuple(groups[v] for v in values))
-
-    @property
-    def total(self):
-        return sum(self.multiplicities)
-
-
 def _series_mul(a, b, order):
     """Truncated product of two coefficient sequences (index 0..order)."""
     out = [Fraction(0)] * (order + 1)
@@ -148,7 +127,7 @@ def _moment_coefficient(n, m, l, i):
     ) * Fraction(m) ** (i - n)
 
 
-def i0l_symbolic(ambient_dim, m, eigenvalues, l, tangents=None):
+def i0l_symbolic(ambient_dim, m, eigenvalues, l):
     """Exact value of m^l * integral of theta^l e^(m theta) omega^N over P^N.
 
     eigenvalues are the rational coefficients r_i of the diagonal field
@@ -161,7 +140,7 @@ def i0l_symbolic(ambient_dim, m, eigenvalues, l, tangents=None):
             f"expected {ambient_dim + 1} eigenvalues, got {len(eigenvalues)}")
     if l < 0:
         raise ValueError("the moment order l must be nonnegative")
-    dds = _dd_pow_exp_all(l, m, eigenvalues, tangents)
+    dds = _dd_pow_exp_all(l, m, eigenvalues)
     return _i0l_from_dds(ambient_dim, m, dds, l)
 
 
@@ -296,40 +275,66 @@ def expand_equivariant_product(degrees, alphas, one):
     return coeffs
 
 
-def mixed_integral(coeffs, ambient_dim, m, eigenvalues, tangents=None):
-    """Integrate sum c[j][l] w^j h^l e^(m h) e^(m w) over P^N exactly.
+def _integrand(ci, field, k, direction=None):
+    """Expansion of the first k factors prod_i (d_i*w + d_i*h - a_i*t).
 
-    Only the top-degree part of e^(m w) survives against each w^j, which
-    turns every (j, l) component into a multiple of the l-th theta-moment:
-    the factor is m^(N-j)/(N-j)! * m^(-l).
+    Returns the (j, l) -> LaurentPoly map of expand_equivariant_product. With
+    a direction, each weight a_i carries its tangent and the coefficients are
+    Dual.
     """
-    n = ambient_dim
-    max_l = max((l for (_, l) in coeffs), default=0)
-    dds = _dd_pow_exp_all(max_l, m, eigenvalues, tangents)
+    weights = field.weights[:k]
+    if direction is None:
+        alphas = [LaurentPoly.t_power(1, a) for a in weights]
+    else:
+        alphas = [LaurentPoly.t_power(1, Dual(a, b))
+                  for a, b in zip(weights, direction.weights)]
+    return expand_equivariant_product(ci.degrees[:k], alphas, LaurentPoly.one())
+
+
+def mixed_integral(ci, field, k, direction=None):
+    """Exact integral of e^(m theta) omega^(N-k) over the k-fold intersection.
+
+    The first k equivariant factors are expanded by (w-power, h-power) and
+    integrated against e^(m h) e^(m w) over P^N. Only the top-degree part of
+    e^(m w) survives against each w^j, which turns every (j, l) component into
+    a multiple of the l-th theta-moment: the factor is m^(N-j)/(N-j)! * m^(-l),
+    and the whole is scaled by (N-k)!/m^(N-k). With a direction, eigenvalues
+    and weights carry its tangents and the result has Dual coefficients.
+    """
+    n, m = ci.ambient_dim, ci.fano_index
+    coeffs = _integrand(ci, field, k, direction)
+    max_l = max(l for (_, l) in coeffs)
+    tangents = None if direction is None else direction.eigenvalues
+    dds = _dd_pow_exp_all(max_l, m, field.eigenvalues, tangents)
     moments = [_i0l_from_dds(n, m, dds, l) for l in range(max_l + 1)]
     total = ExpPoly.zero()
     for (j, l), c in coeffs.items():
-        kappa = Fraction(m ** (n - j), factorial(n - j) * m ** l)
-        piece = moments[l].mul_laurent(c) if isinstance(c, LaurentPoly) \
-            else moments[l].mul_scalar(c)
-        total = total + piece.mul_scalar(kappa)
+        kappa = Fraction(m ** (k - j) * factorial(n - k), factorial(n - j) * m ** l)
+        total = total + moments[l].mul_laurent(c).mul_scalar(kappa)
     return total
 
 
 def ik0_symbolic(ci, field, k):
-    """Exact integral of e^(m theta) omega^(N-k) over the k-fold intersection.
-
-    Computed by expanding the first k equivariant factors and pushing the
-    expansion through the theta-moment integrals, scaled by (N-k)!/m^(N-k).
-    """
+    """Exact integral of e^(m theta) omega^(N-k) over the k-fold intersection."""
     validate(ci, field)
     if not 0 <= k <= ci.codim:
         raise ValueError(f"k must lie in 0..{ci.codim}, got {k}")
+    return mixed_integral(ci, field, k)
+
+
+def recursion_step(ci, field, k, prev):
+    """I_k = (d_k - m a_k t/(N-k+1)) I_(k-1) + (d_k/(N-k+1)) t I'_(k-1).
+
+    The first moment of the previous level enters as t * d/dt of the level
+    below, which is exact because eigenvalues and weights are both linear in
+    t.
+    """
     n, m = ci.ambient_dim, ci.fano_index
-    alphas = [LaurentPoly.t_power(1, a) for a in field.weights[:k]]
-    coeffs = expand_equivariant_product(ci.degrees[:k], alphas, LaurentPoly.one())
-    integral = mixed_integral(coeffs, n, m, field.eigenvalues)
-    return integral.mul_scalar(Fraction(factorial(n - k), m ** (n - k)))
+    d_k, a_k = ci.degrees[k - 1], field.weights[k - 1]
+    return prev.mul_laurent(LaurentPoly(
+        {0: Fraction(d_k), 1: -Fraction(m) * a_k / (n - k + 1)})) \
+        + prev.t_derivative().mul_laurent(
+            LaurentPoly.t_power(1, Fraction(d_k, n - k + 1)))
 
 
 @dataclass(frozen=True)
@@ -341,31 +346,17 @@ class RecursionCheck:
     lhs: ExpPoly | None = None
     rhs: ExpPoly | None = None
 
-    def describe(self):
-        if self.ok:
-            return "recursion identity holds for all k"
-        return (f"recursion identity fails at k={self.failed_k}: "
-                f"lhs = {self.lhs!r}, rhs = {self.rhs!r}")
-
 
 def verify_recursion(ci, field):
-    """Check I_k = (d_k - m a_k t/(N-k+1)) I_(k-1) + (d_k/(N-k+1)) t I'_(k-1).
+    """Check that recursion_step carries each I_(k-1) to the expanded I_k.
 
-    The first moment of the previous level enters as t * d/dt of the level
-    below, which is exact because eigenvalues and weights are both linear in
-    t. Returns a report rather than raising.
+    Returns a report rather than raising.
     """
     validate(ci, field)
-    n, m = ci.ambient_dim, ci.fano_index
     prev = ik0_symbolic(ci, field, 0)
     for k in range(1, ci.codim + 1):
-        d_k = ci.degrees[k - 1]
-        a_k = field.weights[k - 1]
         lhs = ik0_symbolic(ci, field, k)
-        rhs = prev.mul_laurent(LaurentPoly(
-            {0: Fraction(d_k), 1: -Fraction(m) * a_k / (n - k + 1)}))
-        rhs = rhs + prev.t_derivative().mul_laurent(
-            LaurentPoly.t_power(1, Fraction(d_k, n - k + 1)))
+        rhs = recursion_step(ci, field, k, prev)
         if lhs != rhs:
             return RecursionCheck(False, k, lhs, rhs)
         prev = lhs

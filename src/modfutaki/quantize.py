@@ -10,7 +10,8 @@ as k grows, which makes this an independent check of the localization value.
 
 Sign bookkeeping of the shifts at finite k is pinned by two identities:
 F_k(0) = -k N_k at every level, and convergence of F_k/(k N_k) to F(V) on the
-worked golden examples.
+worked golden examples. The alternating sum of F_k starts with a 64-bit
+guard, checked by the shared rule of exactalg.guarded.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from math import comb
 
 import mpmath
 
-from .exactalg import DEFAULT_PRECISION_BITS, _to_mpf
+from .exactalg import DEFAULT_PRECISION_BITS, _to_mpf, guarded
 from .futaki import f_function
 from .geometry import validate
 
 _TRACE_GUARD_BITS = 64
-_MAX_TRACE_RETRIES = 3
 
 
 def _binom_dim(n, ambient_dim):
@@ -109,56 +109,40 @@ def fk(ci, field, k, t, precision_bits=DEFAULT_PRECISION_BITS):
     F_k = -k sum_S (-1)^|S| e^((k sum_j a_j + sum_S a_p) t/k)
                     h_(k m - sum_S d_p)(e^(r_i t/k)).
 
-    When every exponent vanishes (t = 0 or the zero field) the sum is taken
-    over exact integers, so F_k(0) + k N_k = 0 holds with zero error.
+    When every exponent vanishes (t = 0 or the zero field) the value is
+    -k N_k, an exact integer, so F_k(0) + k N_k = 0 holds with zero error.
     """
     validate(ci, field)
     if k < 1:
         raise ValueError(f"the level k must be positive, got {k}")
     t = Fraction(t)
-    n, s, m = ci.ambient_dim, ci.codim, ci.fano_index
+    if t == 0 or field.is_zero():
+        dim = nk(ci, k)
+        with mpmath.workprec(max(precision_bits, dim.bit_length() + 16)):
+            return mpmath.mpf(-k * dim)
+
+    s, m = ci.codim, ci.fano_index
     u = t / k
     weight_total = sum(field.weights, Fraction(0))
-    exact = (t == 0) or field.is_zero()
-
     subsets = [subset for size in range(s + 1)
                for subset in combinations(range(s), size)]
 
-    if exact:
-        total = 0
+    def compute(work_bits):
+        uu = _to_mpf(u)
+        xs = [mpmath.exp(_to_mpf(r) * uu) for r in field.eigenvalues]
+        h = complete_homogeneous_all(xs, k * m)
+        pieces = []
         for subset in subsets:
             deg = k * m - sum(ci.degrees[p] for p in subset)
-            total += (-1) ** len(subset) * _binom_dim(n + deg, n)
-        with mpmath.workprec(max(precision_bits, abs(total).bit_length() + 16)):
-            return mpmath.mpf(-k * total)
+            if deg < 0:
+                continue
+            shift = (k * weight_total
+                     + sum((field.weights[p] for p in subset), Fraction(0))) * u
+            pieces.append((-1) ** len(subset)
+                          * mpmath.exp(_to_mpf(shift)) * h[deg])
+        return -k * mpmath.fsum(pieces), pieces
 
-    guard = _TRACE_GUARD_BITS
-    result = None
-    for _ in range(_MAX_TRACE_RETRIES):
-        with mpmath.workprec(precision_bits + guard):
-            uu = _to_mpf(u)
-            xs = [mpmath.exp(_to_mpf(r) * uu) for r in field.eigenvalues]
-            h = complete_homogeneous_all(xs, k * m)
-            pieces = []
-            for subset in subsets:
-                deg = k * m - sum(ci.degrees[p] for p in subset)
-                if deg < 0:
-                    continue
-                shift = (k * weight_total
-                         + sum((field.weights[p] for p in subset), Fraction(0))) * u
-                pieces.append((-1) ** len(subset)
-                              * mpmath.exp(_to_mpf(shift)) * h[deg])
-            total = mpmath.fsum(pieces)
-            result = -k * total
-            top = max((abs(p) for p in pieces), default=mpmath.mpf(0))
-            if total != 0 and top > 0:
-                cancel = max(0, int(mpmath.log(top / abs(total), 2)) + 1)
-            else:
-                cancel = 0
-        if cancel + 16 <= guard:
-            return result
-        guard = cancel + _TRACE_GUARD_BITS
-    return result
+    return guarded(compute, precision_bits, _TRACE_GUARD_BITS)
 
 
 def convergence_report(ci, field, t, k_list, precision_bits=DEFAULT_PRECISION_BITS):

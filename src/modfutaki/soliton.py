@@ -24,7 +24,7 @@ import mpmath
 
 from .exactalg import DEFAULT_PRECISION_BITS, Dual, _to_mpf
 from .futaki import f_numeric
-from .geometry import ValidationError
+from .geometry import ValidationError, derive_weights
 
 _HESSIAN_STEP = Fraction(1, 100000)
 _ARMIJO = mpmath.mpf("1e-4")
@@ -124,6 +124,12 @@ def admissible_torus(ci):
     return AdmissibleTorus(_nullspace_basis(rows, width))
 
 
+def _numeric_weights(ci, lam):
+    """Weights of the field with eigenvalues lam, from each support's first monomial."""
+    return [sum((a * lam[i] for i, a in enumerate(sup[0]) if a), mpmath.mpf(0))
+            for sup in ci.supports]
+
+
 def _field_data(ci, torus, coefficients):
     """Eigenvalues and weights (numeric) of the combination sum c_j W_j."""
     width = ci.ambient_dim + 1
@@ -131,33 +137,21 @@ def _field_data(ci, torus, coefficients):
     for c, vec in zip(coefficients, torus.basis):
         for i in range(width):
             lam[i] = lam[i] + c * _to_mpf(vec[i])
-    weights = []
-    for sup in ci.supports:
-        mono = sup[0]
-        weights.append(sum((a * lam[i] for i, a in enumerate(mono) if a),
-                           mpmath.mpf(0)))
-    return lam, weights
+    return lam, _numeric_weights(ci, lam)
 
 
-def _basis_weights(ci, vec):
-    return tuple(sum(Fraction(a) * x for a, x in zip(sup[0], vec))
-                 for sup in ci.supports)
-
-
-def _gradient(ci, torus, betas, coefficients, precision_bits):
-    lam, weights = _field_data(ci, torus, coefficients)
+def _gradient(ci, torus, betas, lam, weights, precision_bits):
+    """Fut at the field (lam, weights) along every basis direction of the torus."""
     grad = []
     for vec, beta in zip(torus.basis, betas):
-        dual_lam = [Dual(lam[i], _to_mpf(vec[i]))
-                    for i in range(ci.ambient_dim + 1)]
+        dual_lam = [Dual(x, _to_mpf(v)) for x, v in zip(lam, vec)]
         dual_wts = [Dual(w, _to_mpf(b)) for w, b in zip(weights, beta)]
         grad.append(f_numeric(ci, dual_lam, dual_wts, precision_bits).derivative)
     return grad
 
 
 def _value(ci, torus, coefficients, precision_bits):
-    lam, weights = _field_data(ci, torus, coefficients)
-    return f_numeric(ci, lam, weights, precision_bits)
+    return f_numeric(ci, *_field_data(ci, torus, coefficients), precision_bits)
 
 
 def _hessian(ci, torus, betas, coefficients, precision_bits):
@@ -171,8 +165,10 @@ def _hessian(ci, torus, betas, coefficients, precision_bits):
             dn = list(coefficients)
             up[j] = up[j] + step
             dn[j] = dn[j] - step
-            gu = _gradient(ci, torus, betas, up, precision_bits)
-            gd = _gradient(ci, torus, betas, dn, precision_bits)
+            gu = _gradient(ci, torus, betas, *_field_data(ci, torus, up),
+                           precision_bits)
+            gd = _gradient(ci, torus, betas, *_field_data(ci, torus, dn),
+                           precision_bits)
             cols.append([(a - b) / (2 * step) for a, b in zip(gu, gd)])
         return cols
 
@@ -212,12 +208,13 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
             gradient=(), gradient_norm=zero,
             f_value=mpmath.mpf(-1), iterations=0)
 
-    betas = [_basis_weights(ci, vec) for vec in torus.basis]
+    betas = [derive_weights(ci, vec) for vec in torus.basis]
     tol_mpf = mpmath.mpf(tol)
     with mpmath.workprec(precision_bits + 32):
         coeffs = [mpmath.mpf(0)] * r
         value = _value(ci, torus, coeffs, precision_bits)
-        grad = _gradient(ci, torus, betas, coeffs, precision_bits)
+        grad = _gradient(ci, torus, betas, *_field_data(ci, torus, coeffs),
+                         precision_bits)
         gnorm = max(abs(g) for g in grad)
         iterations = 0
         while gnorm >= tol_mpf:
@@ -245,7 +242,8 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
                     raise NoConvergence(max_iter, tuple(coeffs), gnorm)
             coeffs = trial
             value = trial_value
-            grad = _gradient(ci, torus, betas, coeffs, precision_bits)
+            grad = _gradient(ci, torus, betas, *_field_data(ci, torus, coeffs),
+                             precision_bits)
             gnorm = max(abs(g) for g in grad)
 
         lam, weights = _field_data(ci, torus, coeffs)
@@ -263,19 +261,10 @@ def check_critical(ci, eigenvalues, tol=1e-8,
     torus = admissible_torus(ci)
     if torus.dimension == 0:
         return CriticalReport(values=(), tol=tol, ok=True)
+    betas = [derive_weights(ci, vec) for vec in torus.basis]
     with mpmath.workprec(precision_bits + 32):
-        lam = [mpmath.mpf(x) if not isinstance(x, Fraction) else _to_mpf(x)
-               for x in eigenvalues]
-        weights = [sum((a * lam[i] for i, a in enumerate(sup[0]) if a),
-                       mpmath.mpf(0))
-                   for sup in ci.supports]
-        values = []
-        for vec in torus.basis:
-            beta = _basis_weights(ci, vec)
-            dual_lam = [Dual(lam[i], _to_mpf(vec[i]))
-                        for i in range(ci.ambient_dim + 1)]
-            dual_wts = [Dual(w, _to_mpf(b)) for w, b in zip(weights, beta)]
-            values.append(f_numeric(ci, dual_lam, dual_wts,
-                                    precision_bits).derivative)
+        lam = [_to_mpf(x) for x in eigenvalues]
+        values = _gradient(ci, torus, betas, lam, _numeric_weights(ci, lam),
+                           precision_bits)
         ok = all(abs(v) < mpmath.mpf(tol) for v in values)
     return CriticalReport(values=tuple(values), tol=tol, ok=ok)

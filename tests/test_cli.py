@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from modfutaki import cli, parse_exppoly
+from modfutaki import ExpPoly, cli
 from modfutaki.cli import main
 
 from conftest import CUBIC_F
@@ -75,7 +75,7 @@ class TestEval:
         code, out = run(capsys, "--format", "json", "eval", cubic_path)
         assert code == 0
         doc = json.loads(out)
-        assert parse_exppoly(doc["expression"]) == CUBIC_F
+        assert ExpPoly.parse(doc["expression"]) == CUBIC_F
 
     def test_limit_at_zero(self, cubic_path, capsys):
         code, out = run(capsys, "--format", "json", "eval", cubic_path,
@@ -116,7 +116,7 @@ class TestDerivative:
         doc = json.loads(out)
         from modfutaki import LaurentPoly
         expected = CUBIC_F.t_derivative().mul_laurent(LaurentPoly.t_power(1))
-        assert parse_exppoly(doc["expression"]) == expected
+        assert ExpPoly.parse(doc["expression"]) == expected
 
     def test_zero_direction(self, cubic_path, capsys):
         direction = json.dumps({"eigenvalues": ["0", "0", "0", "0"]})
@@ -271,3 +271,27 @@ class TestLimits:
                         "--k", str(top + 1))
         assert code == 2
         assert error_code(out) == "invalid_input"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,env", [
+        (["quantize", "--k", "abc"], None),
+        (["eval"], "lots"),
+        (["eval", "--numeric"], None),
+    ])
+    def test_json_error_document(self, cubic_path, capsys, monkeypatch, argv,
+                                 env):
+        if env is not None:
+            monkeypatch.setenv("FUTAKI_PRECISION_BITS", env)
+        code, out = run(capsys, "--format", "json", argv[0], cubic_path,
+                        *argv[1:])
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+
+    def test_text_mode_keeps_the_usage_message(self, cubic_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", cubic_path, "--numeric"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: modfutaki [-h]")
+        assert err.endswith("modfutaki: error: unrecognized arguments: --numeric\n")

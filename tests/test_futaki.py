@@ -44,23 +44,23 @@ def torus_field(ci, coeffs):
 class TestExpandIntegrand:
     def test_cubic_single_factor(self):
         mixed = expand_integrand(CUBIC, CUBIC_FIELD)
-        assert mixed.coefficient(1, 0) == LaurentPoly.const(F(3))
-        assert mixed.coefficient(0, 1) == LaurentPoly.const(F(3))
-        assert mixed.coefficient(0, 0) == LaurentPoly.t_power(1, F(-3))
+        assert mixed[(1, 0)] == LaurentPoly.const(F(3))
+        assert mixed[(0, 1)] == LaurentPoly.const(F(3))
+        assert mixed[(0, 0)] == LaurentPoly.t_power(1, F(-3))
 
     def test_empty_product(self):
         ci = CompleteIntersectionSpec.create(2, [])
         mixed = expand_integrand(ci, DiagonalField.zero(ci))
-        assert mixed.coefficients == {(0, 0): LaurentPoly.one()}
+        assert mixed == {(0, 0): LaurentPoly.one()}
 
     def test_quadrics_product(self):
         mixed = expand_integrand(QUADRICS, QUADRICS_FIELD)
-        assert mixed.coefficient(2, 0) == LaurentPoly.const(F(4))
-        assert mixed.coefficient(1, 1) == LaurentPoly.const(F(8))
-        assert mixed.coefficient(0, 2) == LaurentPoly.const(F(4))
-        assert mixed.coefficient(1, 0) == LaurentPoly.t_power(1, F(-4))
-        assert mixed.coefficient(0, 1) == LaurentPoly.t_power(1, F(-4))
-        assert mixed.coefficient(0, 0) == LaurentPoly({2: F(-24)})
+        assert mixed[(2, 0)] == LaurentPoly.const(F(4))
+        assert mixed[(1, 1)] == LaurentPoly.const(F(8))
+        assert mixed[(0, 2)] == LaurentPoly.const(F(4))
+        assert mixed[(1, 0)] == LaurentPoly.t_power(1, F(-4))
+        assert mixed[(0, 1)] == LaurentPoly.t_power(1, F(-4))
+        assert mixed[(0, 0)] == LaurentPoly({2: F(-24)})
 
     def test_degree_bound(self):
         rng = random.Random(1)
@@ -69,7 +69,7 @@ class TestExpandIntegrand:
             field = random_field(rng, ci)
             mixed = expand_integrand(ci, field)
             s = ci.codim
-            for (j, l), c in mixed.coefficients.items():
+            for (j, l), c in mixed.items():
                 assert j + l <= s
                 assert (c.max_exp() or 0) <= s - j - l
 
@@ -217,6 +217,28 @@ class TestNumericTwin:
                    for a, b in zip(v.weights, w.weights)]
             num = f_numeric(CUBIC, lam, wts, 256).derivative
         assert abs(exact - num) < mpmath.mpf(2) ** -220 * (1 + abs(exact))
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_heavy_cancellation_takes_a_second_guard_pass(self, dual):
+        # zero eigenvalues and a weight 2^-100 away from d N / m = 9: the
+        # pieces of the final sum cancel to about 100 bits, so the first pass
+        # at 64 + 64 bits keeps fewer than 48 and the guard must be raised
+        ci = CompleteIntersectionSpec.create(3, [3])
+        field = DiagonalField.create([0, 0, 0, 0], [F(9) + F(1, 2 ** 100)])
+        direction = DiagonalField.create([1, -1, 0, 0], [F(1, 3)])
+        exact = f_function(ci, field).evaluate(1, 256)
+        tangent = fut_derivative(ci, field, direction).evaluate(1, 256)
+        with mpmath.workprec(256):
+            lam = [mpmath.mpf(0)] * 4
+            wts = [mpmath.mpf(9) + mpmath.mpf(2) ** -100]
+            if dual:
+                lam = [Dual(x, mpmath.mpf(d)) for x, d in zip(lam, [1, -1, 0, 0])]
+                wts = [Dual(wts[0], mpmath.mpf(1) / 3)]
+        num = f_numeric(ci, lam, wts, 64)
+        if dual:
+            assert abs(num.derivative - tangent) <= abs(tangent) * mpmath.mpf(2) ** -48
+            num = num.value
+        assert abs(num - exact) <= abs(exact) * mpmath.mpf(2) ** -48
 
     def test_concavity_along_directions(self):
         rng = random.Random(5)

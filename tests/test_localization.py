@@ -7,8 +7,8 @@ import mpmath
 import pytest
 
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
-                       LaurentPoly, NodeMultiset, dd_numeric, i0l_symbolic,
-                       ik0_symbolic, verify_recursion)
+                       LaurentPoly, dd_numeric, i0l_symbolic, ik0_symbolic,
+                       verify_recursion)
 from modfutaki.exactalg import Dual, _to_mpf
 from modfutaki.futaki import f_numeric
 from modfutaki.localization import (_dd_numeric_multi, _dd_pow_exp_all,
@@ -290,10 +290,3 @@ class TestRecursion:
             assert verify_recursion(ci, field).ok, (ci, field)
             done += 1
 
-
-class TestNodeMultiset:
-    def test_grouping(self):
-        ms = NodeMultiset.from_nodes([F(1), F(-7), F(1), F(5)])
-        assert ms.values == (F(-7), F(1), F(5))
-        assert ms.multiplicities == (1, 2, 1)
-        assert ms.total == 4

@@ -181,6 +181,20 @@ class TestQuantizedFunctional:
         for row in rows:
             assert row.error < mpmath.mpf(2) ** -150
 
+    def test_heavy_cancellation_takes_a_second_guard_pass(self):
+        # zero eigenvalues and e^(a/3) within about 2^-143 of h_3(1, 1, 1, 1)
+        # = 20: the two Koszul terms of F_3 at t = 1 cancel to about 148 bits,
+        # more than the first pass at 64 + 64 bits carries
+        ci = CompleteIntersectionSpec.create(3, [3])
+        with mpmath.workprec(256):
+            a = 3 * F(mpmath.nstr(mpmath.log(20), 45))
+        field = DiagonalField.create([0, 0, 0, 0], [a])
+        got = fk(ci, field, 3, F(1), 64)
+        with mpmath.workprec(512):
+            a_mpf = mpmath.mpf(a.numerator) / a.denominator
+            ref = -3 * mpmath.exp(a_mpf) * (20 - mpmath.exp(a_mpf / 3))
+            assert abs(got - ref) <= abs(ref) * mpmath.mpf(2) ** -48
+
     def test_precision_discipline(self):
         t = F(1, 4)
         k = 64
