@@ -61,7 +61,12 @@ class Dual:
     Forward-mode derivative carrier: threading Dual scalars through a
     computation leaves the directional derivative in the ``derivative`` slot.
     Parts are Fractions in the exact pipeline and mpmath floats in the
-    numeric one.
+    numeric one. Duals nest: a Dual whose parts are Duals is a hyper-dual
+    number, and ``Dual(Dual(x, u), Dual(v, 0))`` carries
+    ``x + u*eps1 + v*eps2``: through a computation f, the ``value`` slot
+    becomes ``Dual(f, D_u f)`` and the ``derivative`` slot
+    ``Dual(D_v f, D_u D_v f)``. Every Dual in one computation has the same
+    depth.
     """
 
     __slots__ = ("value", "derivative")
@@ -135,7 +140,7 @@ class Dual:
         return out
 
     def exp(self):
-        e = mpmath.exp(self.value)
+        e = scalar_exp(self.value)
         return Dual(e, self.derivative * e)
 
     def __repr__(self):
@@ -150,7 +155,10 @@ def scalar_exp(x):
 
 
 def primal(x):
-    return x.value if isinstance(x, Dual) else x
+    """The innermost value slot of a Dual, however deeply nested; x itself otherwise."""
+    while isinstance(x, Dual):
+        x = x.value
+    return x
 
 
 def tangent(x):

@@ -23,7 +23,7 @@ from math import factorial, prod
 import mpmath
 
 from .exactalg import (DEFAULT_PRECISION_BITS, Dual, LaurentPoly, _to_mpf,
-                       guarded, primal, scalar_exp)
+                       guarded, scalar_exp)
 from .geometry import InadmissibleDirection, ValidationError, validate
 from .localization import (_integrand, expand_equivariant_product,
                            i0l_numeric_all, i0l_symbolic, mixed_integral,
@@ -92,13 +92,25 @@ def fut_derivative(ci, field, direction):
     return _from_top_level(ci, field, top).dual_parts()[1]
 
 
+def _fsum(xs):
+    """mpmath.fsum, slot by slot over Duals of any depth."""
+    xs = list(xs)
+    if xs and isinstance(xs[0], Dual):
+        return Dual(_fsum(x.value for x in xs), _fsum(x.derivative for x in xs))
+    return mpmath.fsum(xs)
+
+
 def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
     """F at real eigenvalues/weights (the t-scale absorbed into them).
 
     Mirrors the exact assembly with the bidiagonal divided-difference
     evaluator, so clustered or coincident eigenvalues lose no accuracy. The
     inputs may be Fractions, mpmath floats, or Dual numbers over mpmath
-    floats (in which case the result carries the directional derivative).
+    floats, in which case the result is a Dual whose derivative slot holds
+    the directional derivative along the tangents. Duals may nest, all
+    inputs at one depth: seeded as Dual(Dual(x, u), Dual(v, 0)), the result
+    is Dual(Dual(F, D_u F), Dual(D_v F, D_u D_v F)), so that
+    result.derivative.derivative is the second derivative along u and v.
     """
     ci.check()
     n, s, m = ci.ambient_dim, ci.codim, ci.fano_index
@@ -111,25 +123,18 @@ def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
     def compute(work_bits):
         lam = [_to_mpf(x) for x in eigenvalues]
         alph = [_to_mpf(x) for x in weights]
-        one = mpmath.mpf(1)
-        dual = any(isinstance(x, Dual) for x in lam + alph)
-        if dual:
+        if any(isinstance(x, Dual) for x in lam + alph):
             # every scalar a Dual, so that no mpf ever stands left of a Dual
             lam = [Dual.lift(x) for x in lam]
             alph = [Dual.lift(x) for x in alph]
-            one = Dual(one, mpmath.mpf(0))
+        one = lam[0] ** 0
         coeffs = expand_equivariant_product(ci.degrees, alph, one)
         moments = i0l_numeric_all(n, m, lam, s, work_bits)
         pieces = []
         for (j, l), c in coeffs.items():
             kappa = Fraction(m ** (n - j), factorial(n - j) * m ** l)
             pieces.append(c * _to_mpf(kappa) * moments[l])
-        total = mpmath.fsum(primal(p) for p in pieces)
-        shift = sum(alph[1:], alph[0]) if alph else mpmath.mpf(0)
-        prefactor = scalar_exp(shift) * -_to_mpf(_normalization(ci))
-        if dual:
-            tang = mpmath.fsum(p.derivative for p in pieces)
-            return Dual(total, tang) * prefactor, pieces
-        return prefactor * total, pieces
+        prefactor = scalar_exp(sum(alph, one * 0)) * -_to_mpf(_normalization(ci))
+        return prefactor * _fsum(pieces), pieces
 
     return guarded(compute, precision_bits, 64)

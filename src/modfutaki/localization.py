@@ -145,9 +145,9 @@ def i0l_symbolic(ambient_dim, m, eigenvalues, l):
 
 
 def _mag(x):
-    """Submultiplicative magnitude; for duals |value| + |derivative|."""
+    """Submultiplicative magnitude; for duals |value| + |derivative|, nested alike."""
     if isinstance(x, Dual):
-        return abs(x.value) + abs(x.derivative)
+        return _mag(x.value) + _mag(x.derivative)
     return abs(x)
 
 

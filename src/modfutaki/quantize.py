@@ -55,25 +55,17 @@ def nk(ci, k):
 
 
 def complete_homogeneous_all(values, max_degree):
-    """h_0..h_max of the given values via the Newton power-sum recurrence.
+    """h_0..h_max of the given values, taking in one value at a time.
 
-    Generic in the coefficient ring (exact rationals, floats, or any ring
-    with +, *, and division by integers): h_d = (1/d) sum_j p_j h_(d-j).
+    Generic in the coefficient ring (+ and * only, no division): after
+    x_0..x_j, h_d(x_0..x_j) = h_d(x_0..x_(j-1)) + x_j h_(d-1)(x_0..x_j).
+    O(max_degree * len(values)) products, and for positive values every
+    term added is positive.
     """
-    n = len(values)
-    powers = list(values)
-    psums = []
-    for j in range(max_degree):
-        psums.append(sum(powers[i] for i in range(n)))
-        if j + 1 < max_degree:
-            powers = [powers[i] * values[i] for i in range(n)]
-    h = [None] * (max_degree + 1)
-    h[0] = 1
-    for d in range(1, max_degree + 1):
-        acc = 0
-        for j in range(1, d + 1):
-            acc = acc + psums[j - 1] * h[d - j]
-        h[d] = acc / d if not isinstance(acc, int) else Fraction(acc, d)
+    h = [1] + [0] * max_degree
+    for x in values:
+        for d in range(1, max_degree + 1):
+            h[d] = h[d] + x * h[d - 1]
     return h
 
 

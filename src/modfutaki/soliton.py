@@ -8,10 +8,11 @@ c), so the candidate soliton field is its unique maximizer; at the maximizer
 every directional derivative Fut_V(W_j) vanishes.
 
 The maximizer is located by Newton iteration with a backtracking line search
-from c = 0 (where F = -1 and the map is smooth). Gradients come from the
-dual-number numeric pipeline and are exact in the automatic-differentiation
-sense; the Hessian uses Richardson-refined central differences of that
-gradient.
+from c = 0 (where F = -1 and the map is smooth). Derivatives are exact in the
+automatic-differentiation sense, both from the numeric pipeline over Dual
+numbers: the gradient entry Fut_V(W_j) from inputs seeded with the tangent
+W_j, and the Hessian entry H_ij from a Dual of Duals seeded with W_i and W_j,
+one f_numeric call for each of the r(r+1)/2 entries on or above the diagonal.
 """
 
 from __future__ import annotations
@@ -26,18 +27,21 @@ from .exactalg import DEFAULT_PRECISION_BITS, Dual, _to_mpf
 from .futaki import f_numeric
 from .geometry import ValidationError, derive_weights
 
-_HESSIAN_STEP = Fraction(1, 100000)
 _ARMIJO = mpmath.mpf("1e-4")
 
 
 class NoConvergence(RuntimeError):
-    """Newton iteration exhausted; tolerance too tight or unbounded direction."""
+    """Newton iteration stopped short of the tolerance.
 
-    def __init__(self, max_iter, coefficients, gradient_norm):
+    Either the iteration budget ran out or the line search stalled; in both
+    cases iterations counts the Newton steps taken.
+    """
+
+    def __init__(self, cause, iterations, coefficients, gradient_norm):
         super().__init__(
-            f"no convergence after {max_iter} iterations "
+            f"{cause} after {iterations} iterations "
             f"(last gradient norm {mpmath.nstr(gradient_norm, 8)})")
-        self.max_iter = max_iter
+        self.iterations = iterations
         self.coefficients = coefficients
         self.gradient_norm = gradient_norm
 
@@ -140,50 +144,36 @@ def _field_data(ci, torus, coefficients):
     return lam, _numeric_weights(ci, lam)
 
 
+def _seed(lam, weights, vec, beta):
+    """The field (lam, weights) one Dual level deeper, with tangent (vec, beta)."""
+    return ([Dual(x, x * 0 + _to_mpf(v)) for x, v in zip(lam, vec)],
+            [Dual(w, w * 0 + _to_mpf(b)) for w, b in zip(weights, beta)])
+
+
 def _gradient(ci, torus, betas, lam, weights, precision_bits):
     """Fut at the field (lam, weights) along every basis direction of the torus."""
-    grad = []
-    for vec, beta in zip(torus.basis, betas):
-        dual_lam = [Dual(x, _to_mpf(v)) for x, v in zip(lam, vec)]
-        dual_wts = [Dual(w, _to_mpf(b)) for w, b in zip(weights, beta)]
-        grad.append(f_numeric(ci, dual_lam, dual_wts, precision_bits).derivative)
-    return grad
+    return [f_numeric(ci, *_seed(lam, weights, vec, beta), precision_bits).derivative
+            for vec, beta in zip(torus.basis, betas)]
 
 
 def _value(ci, torus, coefficients, precision_bits):
     return f_numeric(ci, *_field_data(ci, torus, coefficients), precision_bits)
 
 
-def _hessian(ci, torus, betas, coefficients, precision_bits):
-    r = len(coefficients)
-    h = _to_mpf(_HESSIAN_STEP)
+def _hessian(ci, torus, betas, lam, weights, precision_bits):
+    """Second derivatives of F at (lam, weights) along the basis directions.
 
-    def diff(step):
-        cols = []
-        for j in range(r):
-            up = list(coefficients)
-            dn = list(coefficients)
-            up[j] = up[j] + step
-            dn[j] = dn[j] - step
-            gu = _gradient(ci, torus, betas, *_field_data(ci, torus, up),
-                           precision_bits)
-            gd = _gradient(ci, torus, betas, *_field_data(ci, torus, dn),
-                           precision_bits)
-            cols.append([(a - b) / (2 * step) for a, b in zip(gu, gd)])
-        return cols
-
-    d1 = diff(h)
-    d2 = diff(h / 2)
+    Entry (i, j) is exact: the derivative-of-derivative slot of f_numeric
+    over a Dual of Duals seeded with W_i, then W_j.
+    """
+    r = torus.dimension
     hess = mpmath.matrix(r, r)
     for i in range(r):
-        for j in range(r):
-            refined = (4 * d2[j][i] - d1[j][i]) / 3
-            hess[i, j] = refined
-    for i in range(r):
-        for j in range(i + 1, r):
-            sym = (hess[i, j] + hess[j, i]) / 2
-            hess[i, j] = sym
-            hess[j, i] = sym
+        inner = _seed(lam, weights, torus.basis[i], betas[i])
+        for j in range(i, r):
+            outer = _seed(*inner, torus.basis[j], betas[j])
+            entry = f_numeric(ci, *outer, precision_bits).derivative.derivative
+            hess[i, j] = hess[j, i] = entry
     return hess
 
 
@@ -193,7 +183,8 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
 
     Returns the trivial field immediately when the torus is zero-dimensional
     (the classical, unmodified case). Raises NoConvergence when the iteration
-    budget runs out, reporting the last iterate.
+    budget runs out or the line search stalls, reporting the last iterate and
+    the Newton steps taken.
     """
     ci.check()
     torus = admissible_torus(ci)
@@ -213,15 +204,17 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
     with mpmath.workprec(precision_bits + 32):
         coeffs = [mpmath.mpf(0)] * r
         value = _value(ci, torus, coeffs, precision_bits)
-        grad = _gradient(ci, torus, betas, *_field_data(ci, torus, coeffs),
-                         precision_bits)
-        gnorm = max(abs(g) for g in grad)
         iterations = 0
-        while gnorm >= tol_mpf:
+        while True:
+            lam, weights = _field_data(ci, torus, coeffs)
+            grad = _gradient(ci, torus, betas, lam, weights, precision_bits)
+            gnorm = max(abs(g) for g in grad)
+            if gnorm < tol_mpf:
+                break
             if iterations >= max_iter:
-                raise NoConvergence(max_iter, tuple(coeffs), gnorm)
-            iterations += 1
-            hess = _hessian(ci, torus, betas, coeffs, precision_bits)
+                raise NoConvergence("no convergence", iterations,
+                                    tuple(coeffs), gnorm)
+            hess = _hessian(ci, torus, betas, lam, weights, precision_bits)
             try:
                 step = mpmath.lu_solve(hess, mpmath.matrix([-g for g in grad]))
                 direction = [step[i] for i in range(r)]
@@ -239,14 +232,12 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
                     break
                 alpha = alpha / 2
                 if alpha < mpmath.mpf(2) ** (-80):
-                    raise NoConvergence(max_iter, tuple(coeffs), gnorm)
+                    raise NoConvergence("line search stalled", iterations,
+                                        tuple(coeffs), gnorm)
             coeffs = trial
             value = trial_value
-            grad = _gradient(ci, torus, betas, *_field_data(ci, torus, coeffs),
-                             precision_bits)
-            gnorm = max(abs(g) for g in grad)
+            iterations += 1
 
-        lam, weights = _field_data(ci, torus, coeffs)
         return SolitonResult(
             trivial=False, coefficients=tuple(coeffs),
             eigenvalues=tuple(lam), weights=tuple(weights),

@@ -72,6 +72,11 @@ QUADRICS_I02 = ExpPoly({
 FERMAT_CUBIC = CompleteIntersectionSpec.create(
     3, [3], [[[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]]])
 
+# Cubic threefold with support {z0^2 z1, z2 z3 z4} in P^4: its admissible
+# torus is three-dimensional.
+P4_CUBIC = CompleteIntersectionSpec.create(
+    4, [3], [[[2, 1, 0, 0, 0], [0, 0, 1, 1, 1]]])
+
 
 @pytest.fixture
 def cubic():

@@ -219,7 +219,12 @@ class TestBidiagonalKernel:
                 assert_close(got[l].derivative,
                              confluent[l].evaluate(1, self.BITS), self.BITS)
 
-    def test_dual_f_numeric_never_converts_a_dual(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [
+        lambda x, v: Dual(x, v),
+        # a Dual of Duals, as the Newton Hessian seeds it
+        lambda x, v: Dual(Dual(x, v), Dual(-v, 0 * v)),
+    ], ids=["dual", "nested"])
+    def test_dual_f_numeric_never_converts_a_dual(self, monkeypatch, seed):
         # mpf * Dual makes mpmath format repr(Dual) before deferring to Dual
         calls = []
         fallback = mpmath.mp._convert_fallback
@@ -229,12 +234,13 @@ class TestBidiagonalKernel:
             return fallback(x, strings)
 
         monkeypatch.setattr(mpmath.mp, "_convert_fallback", counting)
-        lam = [Dual(mpmath.mpf(x), mpmath.mpf(v))
+        lam = [seed(mpmath.mpf(x), mpmath.mpf(v))
                for x, v in zip((-7, 3, -2, 5, 1), (1, -1, 0, 2, -2))]
-        wts = [Dual(mpmath.mpf(-4), mpmath.mpf(1)),
-               Dual(mpmath.mpf(6), mpmath.mpf(-2))]
+        wts = [seed(mpmath.mpf(-4), mpmath.mpf(1)),
+               seed(mpmath.mpf(6), mpmath.mpf(-2))]
         result = f_numeric(QUADRICS, lam, wts, 128)
         assert isinstance(result, Dual)
+        assert type(result.derivative) is type(lam[0].derivative)
         assert calls == []
 
 

@@ -153,20 +153,25 @@ class TestQuantizedFunctional:
             assert fk(CUBIC, CUBIC_FIELD, k, F(0)) == -k * nk(CUBIC, k)
 
     def test_projective_space_enumeration(self):
-        # s = 0, level one: the trace is a plain monomial sum
-        ci = CompleteIntersectionSpec.create(2, [])
-        lam = (F(2), F(-1), F(-1))
-        field = DiagonalField.create(lam, [])
+        # s = 0: F_k is -k times a plain sum over the monomials of degree k m;
+        # on the line k m = 2048, the largest degree the command line allows
         t = F(1, 3)
-        got = fk(ci, field, 1, t, 256)
-        with mpmath.workprec(300):
-            total = mpmath.mpf(0)
-            for exps in product(range(4), repeat=3):
-                if sum(exps) != 3:
-                    continue
-                w = sum(e * x for e, x in zip(exps, lam)) * t
-                total += mpmath.exp(mpmath.mpf(w.numerator) / w.denominator)
-            assert abs(got + total) < mpmath.mpf(2) ** -220 * (1 + abs(total))
+        for lam, k in (((F(2), F(-1), F(-1)), 1), ((F(1), F(-1)), 1024)):
+            n = len(lam) - 1
+            ci = CompleteIntersectionSpec.create(n, [])
+            field = DiagonalField.create(lam, [])
+            degree = k * ci.fano_index
+            got = fk(ci, field, k, t, 256)
+            with mpmath.workprec(300):
+                total = mpmath.mpf(0)
+                for head in product(range(degree + 1), repeat=n):
+                    if sum(head) > degree:
+                        continue
+                    exps = head + (degree - sum(head),)
+                    w = sum(e * x for e, x in zip(exps, lam)) * t / k
+                    total += mpmath.exp(mpmath.mpf(w.numerator) / w.denominator)
+                total *= k
+                assert abs(got + total) < mpmath.mpf(2) ** -220 * (1 + abs(total))
 
     def test_convergence_to_localization(self):
         for ci, field in ((CUBIC, CUBIC_FIELD), (QUADRICS, QUADRICS_FIELD)):

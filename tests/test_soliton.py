@@ -5,11 +5,15 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from modfutaki import (CompleteIntersectionSpec, NoConvergence, check_critical,
-                       derive_weights, admissible_torus, find_soliton)
+import modfutaki.soliton as soliton_mod
+from modfutaki import (CompleteIntersectionSpec, DiagonalField, NoConvergence,
+                       check_critical, derive_weights, admissible_torus,
+                       find_soliton, fut_derivative)
+from modfutaki.exactalg import _to_mpf
+from modfutaki.futaki import f_numeric
 from modfutaki.geometry import ValidationError
 
-from conftest import CUBIC, FERMAT_CUBIC, QUADRICS
+from conftest import CUBIC, FERMAT_CUBIC, P4_CUBIC, QUADRICS
 
 
 def colinear(u, v):
@@ -113,6 +117,17 @@ class TestFindSoliton:
         with pytest.raises(NoConvergence):
             find_soliton(CUBIC, tol=1e-10, max_iter=0)
 
+    def test_stalled_line_search_reports_the_steps_taken(self, monkeypatch):
+        # F reads 0 at the start and -1 at every trial point, so no step
+        # passes the Armijo test
+        values = iter([mpmath.mpf(0)])
+        monkeypatch.setattr(soliton_mod, "_value",
+                            lambda *args: next(values, mpmath.mpf(-1)))
+        with pytest.raises(NoConvergence) as info:
+            find_soliton(CUBIC, tol=1e-10, max_iter=60, precision_bits=64)
+        assert info.value.iterations == 0
+        assert str(info.value).startswith("line search stalled after 0 iterations")
+
     def test_quadrics_interior_maximum(self):
         result = find_soliton(QUADRICS, tol=1e-9, max_iter=80,
                               precision_bits=192)
@@ -174,3 +189,77 @@ class TestCheckCritical:
                                 precision_bits=192)
         assert not report.ok
         assert max(abs(v) for v in report.values) > mpmath.mpf("1e-2")
+
+
+@pytest.fixture(scope="module", params=[(CUBIC, 6, 20), (QUADRICS, 4, 27),
+                                        (P4_CUBIC, 4, 44)],
+                ids=["cubic", "quadrics", "p4cubic"])
+def newton_run(request):
+    """find_soliton at 64 bits with its f_numeric calls counted.
+
+    Yields the variety, the result, the call count, and the iterations and
+    calls expected.
+    """
+    ci, iterations, calls = request.param
+    counted = []
+
+    def counting(*args):
+        counted.append(args)
+        return f_numeric(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(soliton_mod, "f_numeric", counting)
+        result = find_soliton(ci, tol=1e-10, precision_bits=64)
+    return ci, result, len(counted), (iterations, calls)
+
+
+class TestExactHessian:
+    BITS = 128
+    STEP = F(1, 2 ** 40)
+
+    def test_newton_cost(self, newton_run):
+        # per step: r(r+1)/2 calls for the Hessian, r for the gradient, one
+        # per line-search trial; the finite-difference Hessian took 4 r^2
+        _, result, calls, expected = newton_run
+        assert (result.iterations, calls) == expected
+
+    def test_matches_exact_fut_and_is_negative_definite(self, newton_run):
+        ci, result, _, _ = newton_run
+        torus = admissible_torus(ci)
+        basis = torus.basis
+        betas = [derive_weights(ci, vec) for vec in basis]
+        r = torus.dimension
+        directions = [DiagonalField(vec, beta) for vec, beta in zip(basis, betas)]
+
+        def fut(cs, i):
+            eig = tuple(sum((c * vec[k] for c, vec in zip(cs, basis)), F(0))
+                        for k in range(ci.ambient_dim + 1))
+            field = DiagonalField(eig, derive_weights(ci, eig))
+            return fut_derivative(ci, field, directions[i]).evaluate(1, 512)
+
+        for point in ([F(0)] * r, [F(float(c)) for c in result.coefficients]):
+            with mpmath.workprec(self.BITS + 32):
+                lam, weights = soliton_mod._field_data(
+                    ci, torus, [_to_mpf(c) for c in point])
+                hess = soliton_mod._hessian(ci, torus, betas, lam, weights,
+                                            self.BITS)
+                for i in range(r):
+                    for j in range(i + 1, r):
+                        # seeded with W_j first, then W_i
+                        swapped = f_numeric(ci, *soliton_mod._seed(
+                            *soliton_mod._seed(lam, weights, basis[j], betas[j]),
+                            basis[i], betas[i]), self.BITS).derivative.derivative
+                        assert abs(swapped - hess[i, j]) <= \
+                            mpmath.mpf(2) ** (16 - self.BITS) * abs(hess[i, j])
+            mpmath.cholesky(-hess)  # raises unless -H is positive definite
+            # H_ij = d/dc_j Fut(W_i); the central difference of the exact Fut
+            # is good to about 2^-78 here
+            with mpmath.workprec(600):
+                for i in range(r):
+                    for j in range(r):
+                        up, down = list(point), list(point)
+                        up[j] += self.STEP
+                        down[j] -= self.STEP
+                        diff = (fut(up, i) - fut(down, i)) / (2 * _to_mpf(self.STEP))
+                        assert abs(diff - hess[i, j]) <= \
+                            mpmath.mpf(2) ** -70 * max(1, abs(diff))
