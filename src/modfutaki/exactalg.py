@@ -161,10 +161,6 @@ def primal(x):
     return x
 
 
-def tangent(x):
-    return x.derivative if isinstance(x, Dual) else 0
-
-
 def guarded(compute, precision_bits, guard):
     """The result of compute(work_bits) -> (result, pieces), by the guard rule.
 
@@ -457,7 +453,8 @@ class ExpPoly:
         val, der = {}, {}
         for mu, lp in self.terms.items():
             val[mu] = LaurentPoly({e: primal(c) for e, c in lp.terms.items()})
-            der[mu] = LaurentPoly({e: tangent(c) for e, c in lp.terms.items()})
+            der[mu] = LaurentPoly({e: c.derivative for e, c in lp.terms.items()
+                                   if isinstance(c, Dual)})
         return ExpPoly(val), ExpPoly(der)
 
     def to_string(self):

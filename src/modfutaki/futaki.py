@@ -92,6 +92,11 @@ def fut_derivative(ci, field, direction):
     return _from_top_level(ci, field, top).dual_parts()[1]
 
 
+def _depth(x):
+    """How deeply Duals nest in x along the value slots; 0 for a plain scalar."""
+    return 1 + _depth(x.value) if isinstance(x, Dual) else 0
+
+
 def _fsum(xs):
     """mpmath.fsum, slot by slot over Duals of any depth."""
     xs = list(xs)
@@ -107,9 +112,10 @@ def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
     evaluator, so clustered or coincident eigenvalues lose no accuracy. The
     inputs may be Fractions, mpmath floats, or Dual numbers over mpmath
     floats, in which case the result is a Dual whose derivative slot holds
-    the directional derivative along the tangents. Duals may nest, all
-    inputs at one depth: seeded as Dual(Dual(x, u), Dual(v, 0)), the result
-    is Dual(Dual(F, D_u F), Dual(D_v F, D_u D_v F)), so that
+    the directional derivative along the tangents. Duals may nest, all Dual
+    inputs at one depth (else ValidationError), and plain inputs are lifted
+    to that depth: seeded as Dual(Dual(x, u), Dual(v, 0)), the result is
+    Dual(Dual(F, D_u F), Dual(D_v F, D_u D_v F)), so that
     result.derivative.derivative is the second derivative along u and v.
     """
     ci.check()
@@ -119,14 +125,21 @@ def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
             f"expected {n + 1} eigenvalues, got {len(eigenvalues)}")
     if len(weights) != s:
         raise ValidationError(f"expected {s} weights, got {len(weights)}")
+    depths = {_depth(x) for x in (*eigenvalues, *weights) if isinstance(x, Dual)}
+    if len(depths) > 1:
+        raise ValidationError(f"Dual inputs of mixed depths {sorted(depths)}")
+    depth = max(depths, default=0)
+
+    def lifted(x):
+        # every scalar at one depth, so that no mpf ever stands left of a Dual
+        x = _to_mpf(x)
+        for _ in range(depth - _depth(x)):
+            x = Dual(x, x * 0)
+        return x
 
     def compute(work_bits):
-        lam = [_to_mpf(x) for x in eigenvalues]
-        alph = [_to_mpf(x) for x in weights]
-        if any(isinstance(x, Dual) for x in lam + alph):
-            # every scalar a Dual, so that no mpf ever stands left of a Dual
-            lam = [Dual.lift(x) for x in lam]
-            alph = [Dual.lift(x) for x in alph]
+        lam = [lifted(x) for x in eigenvalues]
+        alph = [lifted(x) for x in weights]
         one = lam[0] ** 0
         coeffs = expand_equivariant_product(ci.degrees, alph, one)
         moments = i0l_numeric_all(n, m, lam, s, work_bits)

@@ -3,7 +3,10 @@
 The exact pipeline reduces every integral to confluent divided differences of
 x -> x^i * exp(m*t*x) over the eigenvalue multiset, computed in closed form by
 local series expansion at each distinct node (the residue form of the Hermite
-divided difference). Results are exponential polynomials in t.
+divided difference). Results are exponential polynomials in t. A block of
+mu equal nodes among n costs O(n*mu) products and one division, and
+mixed_integral gathers its coefficients by power i first, so that it makes
+one mul_laurent per divided difference.
 
 The numeric pipeline evaluates divided differences through the bidiagonal
 node-matrix representation (nodes on the diagonal, ones above it; the divided
@@ -29,18 +32,6 @@ from .exactalg import (DEFAULT_PRECISION_BITS, Dual, ExpPoly, LaurentPoly,
 from .geometry import validate
 
 
-def _series_mul(a, b, order):
-    """Truncated product of two coefficient sequences (index 0..order)."""
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(min(order - i, len(b) - 1) + 1):
-            if b[j]:
-                out[i + j] = out[i + j] + ai * b[j]
-    return out
-
-
 def _dd_pow_exp_all(max_power, m, nodes, tangents=None):
     """Divided differences DD(x^i * exp(m*t*x); nodes) for i = 0..max_power.
 
@@ -49,13 +40,17 @@ def _dd_pow_exp_all(max_power, m, nodes, tangents=None):
     through and the results have Dual coefficients; within a block of equal
     nodes only the sum of the tangents enters (eps^2 = 0), so directions that
     split a repeated eigenvalue are differentiated exactly.
+
+    A block at r contributes the residue of x^i e^(m t x) / prod_j (x - x_j)
+    at r, read from series in u = x - r to the block's order: O(n * order)
+    products and no division build P(u) = prod of (u + r - x_j) over the
+    nodes outside the block, and 1/P takes one division per block.
     """
     nodes = [Fraction(x) for x in nodes]
-    n = len(nodes)
     dual = tangents is not None
     if dual:
         tangents = [Fraction(x) for x in tangents]
-        if len(tangents) != n:
+        if len(tangents) != len(nodes):
             raise ValueError("one tangent per node is required")
 
     blocks = {}
@@ -69,58 +64,42 @@ def _dd_pow_exp_all(max_power, m, nodes, tangents=None):
         tangent_sum = sum(tangents[i] for i in idxs) if dual else Fraction(0)
         order = mult if dual else mult - 1
 
-        # prod over nodes outside the block of 1/(z - x_j), expanded at z = r
-        g = [Fraction(1)] + [Fraction(0)] * order
-        for r2 in sorted(blocks):
-            if r2 == r:
-                continue
-            for j in blocks[r2]:
-                delta = r2 - r
-                if dual:
-                    delta = Dual(delta, tangents[j])
-                inv = 1 / delta
-                fac = [-(inv ** (w + 1)) for w in range(order + 1)]
-                g = _series_mul(g, fac, order)
+        # P(u); the tangent of x_j enters as -eps in r - x_j
+        p = [Fraction(1)] + [Fraction(0)] * order
+        for j, x in enumerate(nodes):
+            if x != r:
+                c = Dual(r - x, -tangents[j]) if dual else r - x
+                p = [p[0] * c] + [p[w] * c + p[w - 1] for w in range(1, order + 1)]
+        # g = 1/P: g_0 = 1/P_0, g_w = -(P_1 g_(w-1) + .. + P_w g_0) g_0
+        g0 = 1 / p[0]
+        g = [g0]
+        for w in range(1, order + 1):
+            acc = p[1] * g[w - 1]
+            for i in range(2, w + 1):
+                acc = acc + p[i] * g[w - i]
+            g.append(-acc * g0)
 
         freq = Fraction(m) * r
         for i in range(max_power + 1):
-            pw = [comb(i, w) * r ** (i - w) for w in range(min(i, order) + 1)]
-            gi = _series_mul(g, pw, order)
+            if i:  # g <- g * (r + u), one more factor x of x^i
+                g = [g[0] * r] + [g[w] * r + g[w - 1] for w in range(1, order + 1)]
             coeffs = {}
-            top = mult if dual else mult - 1
-            for j in range(top + 1):
-                scale = Fraction(m ** j, factorial(j))
-                base = gi[mult - 1 - j] if j <= mult - 1 else Fraction(0)
+            for j in range(order + 1):
+                c = g[mult - 1 - j] if j < mult else Fraction(0)
                 if dual:
-                    extra = tangent_sum * primal(gi[mult - j])
-                    c = Dual(primal(base), (base.derivative if isinstance(base, Dual)
-                                            else Fraction(0)) + extra) * scale
-                else:
-                    c = base * scale
-                if c:
-                    coeffs[j] = c
-            if coeffs:
-                lp = LaurentPoly(coeffs)
-                results[i][freq] = results[i][freq] + lp if freq in results[i] else lp
+                    c = c + Dual(0, tangent_sum * primal(g[mult - j]))
+                coeffs[j] = c * Fraction(m ** j, factorial(j))
+            results[i][freq] = LaurentPoly(coeffs)
     return [ExpPoly(res) for res in results]
 
 
-def _i0l_from_dds(ambient_dim, m, dds, l):
-    """Assemble the l-th theta-moment integral from divided differences.
-
-    An N-th antiderivative of x^l e^(m x) is the l-th m-derivative of
-    e^(m x)/m^N; integrating picks up the correction terms below, and the
-    node rescaling by t contributes t^(i-N).
-    """
-    total = ExpPoly.zero()
-    for i in range(l + 1):
-        c = _moment_coefficient(ambient_dim, m, l, i)
-        total = total + dds[i].mul_laurent(LaurentPoly.t_power(i - ambient_dim, c))
-    return total
-
-
 def _moment_coefficient(n, m, l, i):
-    """Factor of DD(x^i e^(m x)) in the l-th theta-moment over P^n."""
+    """Factor of DD(x^i e^(m x)) in the l-th theta-moment over P^n.
+
+    An n-th antiderivative of x^l e^(m x) is the l-th m-derivative of
+    e^(m x)/m^n; integrating picks up these correction terms, and the node
+    rescaling by t contributes a further t^(i-n).
+    """
     return Fraction(
         comb(l, i) * (-1) ** (l - i) * factorial(n + l - i - 1) * factorial(n),
         factorial(n - 1),
@@ -141,7 +120,9 @@ def i0l_symbolic(ambient_dim, m, eigenvalues, l):
     if l < 0:
         raise ValueError("the moment order l must be nonnegative")
     dds = _dd_pow_exp_all(l, m, eigenvalues)
-    return _i0l_from_dds(ambient_dim, m, dds, l)
+    return sum((dds[i].mul_laurent(LaurentPoly.t_power(
+        i - ambient_dim, _moment_coefficient(ambient_dim, m, l, i)))
+        for i in range(l + 1)), ExpPoly.zero())
 
 
 def _mag(x):
@@ -298,19 +279,26 @@ def mixed_integral(ci, field, k, direction=None):
     integrated against e^(m h) e^(m w) over P^N. Only the top-degree part of
     e^(m w) survives against each w^j, which turns every (j, l) component into
     a multiple of the l-th theta-moment: the factor is m^(N-j)/(N-j)! * m^(-l),
-    and the whole is scaled by (N-k)!/m^(N-k). With a direction, eigenvalues
-    and weights carry its tangents and the result has Dual coefficients.
+    and the whole is scaled by (N-k)!/m^(N-k). These factors are summed over
+    j, then over l >= i with the moment coefficients, so that each DD_i is
+    multiplied once. With a direction, eigenvalues and weights carry its
+    tangents and the result has Dual coefficients.
     """
     n, m = ci.ambient_dim, ci.fano_index
     coeffs = _integrand(ci, field, k, direction)
     max_l = max(l for (_, l) in coeffs)
     tangents = None if direction is None else direction.eigenvalues
     dds = _dd_pow_exp_all(max_l, m, field.eigenvalues, tangents)
-    moments = [_i0l_from_dds(n, m, dds, l) for l in range(max_l + 1)]
-    total = ExpPoly.zero()
+    sums = [LaurentPoly.zero() for _ in range(max_l + 1)]
     for (j, l), c in coeffs.items():
         kappa = Fraction(m ** (k - j) * factorial(n - k), factorial(n - j) * m ** l)
-        total = total + moments[l].mul_laurent(c).mul_scalar(kappa)
+        sums[l] = sums[l] + c.scale(kappa)
+    total = ExpPoly.zero()
+    for i in range(max_l + 1):
+        fold = LaurentPoly.zero()
+        for l in range(i, max_l + 1):
+            fold = fold + sums[l].scale(_moment_coefficient(n, m, l, i))
+        total = total + dds[i].mul_laurent(fold * LaurentPoly.t_power(i - n))
     return total
 
 

@@ -10,6 +10,7 @@ from modfutaki import (CompleteIntersectionSpec, DiagonalField, Dual, ExpPoly,
                        InadmissibleDirection, LaurentPoly, derive_weights,
                        expand_integrand, f_function, f_function_via_recursion,
                        f_numeric, fut_derivative)
+from modfutaki.geometry import ValidationError
 from modfutaki.soliton import admissible_torus
 
 from conftest import (CUBIC, CUBIC_F, CUBIC_FIELD, QUADRICS, QUADRICS_F,
@@ -239,6 +240,36 @@ class TestNumericTwin:
             assert abs(num.derivative - tangent) <= abs(tangent) * mpmath.mpf(2) ** -48
             num = num.value
         assert abs(num - exact) <= abs(exact) * mpmath.mpf(2) ** -48
+
+    @staticmethod
+    def nested_quadrics_eigenvalues():
+        # Dual(Dual(x, u), Dual(v, 0)), as the Newton Hessian seeds them
+        return [Dual(Dual(mpmath.mpf(x), mpmath.mpf(u)),
+                     Dual(mpmath.mpf(v), mpmath.mpf(0)))
+                for x, u, v in zip((-7, 3, -2, 5, 1), (1, -1, 0, 2, -2),
+                                   (0, 1, -1, 0, 0))]
+
+    def test_plain_weights_are_lifted_to_the_nested_depth(self, monkeypatch):
+        calls = []
+        fallback = mpmath.mp._convert_fallback
+
+        def counting(x, strings):
+            calls.append(type(x).__name__)
+            return fallback(x, strings)
+
+        monkeypatch.setattr(mpmath.mp, "_convert_fallback", counting)
+        lam = self.nested_quadrics_eigenvalues()
+        plain = f_numeric(QUADRICS, lam, [mpmath.mpf(-4), mpmath.mpf(6)], 64)
+        assert calls == []
+        nested = [Dual(Dual(mpmath.mpf(a), mpmath.mpf(0)),
+                       Dual(mpmath.mpf(0), mpmath.mpf(0))) for a in (-4, 6)]
+        assert plain == f_numeric(QUADRICS, lam, nested, 64)
+
+    def test_mixed_dual_depths_are_refused(self):
+        lam = self.nested_quadrics_eigenvalues()
+        wts = [Dual(mpmath.mpf(-4), mpmath.mpf(1)), Dual(mpmath.mpf(6), mpmath.mpf(0))]
+        with pytest.raises(ValidationError, match="mixed depths"):
+            f_numeric(QUADRICS, lam, wts, 64)
 
     def test_concavity_along_directions(self):
         rng = random.Random(5)

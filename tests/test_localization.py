@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import mpmath
 import pytest
@@ -12,7 +13,8 @@ from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
 from modfutaki.exactalg import Dual, _to_mpf
 from modfutaki.futaki import f_numeric
 from modfutaki.localization import (_dd_numeric_multi, _dd_pow_exp_all,
-                                    i0l_numeric_all)
+                                    _integrand, _moment_coefficient,
+                                    i0l_numeric_all, mixed_integral)
 
 from conftest import (CUBIC, CUBIC_FIELD, CUBIC_I00, CUBIC_I01, QUADRICS,
                       QUADRICS_FIELD, QUADRICS_I00, QUADRICS_I01, QUADRICS_I02)
@@ -153,6 +155,111 @@ class TestNumeric:
             for l in range(3):
                 sym = i0l_symbolic(4, 2, tuple(lam), l).evaluate(1, 256)
                 assert abs(moments[l] - sym) < mpmath.mpf(2) ** -220 * (1 + abs(sym))
+
+
+def repeated_nodes(rng, n):
+    """n + 1 >= 3 rational nodes taking 2..n distinct values, so blocks repeat."""
+    count, values = rng.randint(2, min(4, n)), set()
+    while len(values) < count:
+        values.add(random_fraction(rng, -12, 12, 5))
+    nodes = sorted(values) + [rng.choice(sorted(values))
+                              for _ in range(n + 1 - len(values))]
+    rng.shuffle(nodes)
+    return nodes
+
+
+class TestExactKernel:
+    # identities checked in exact arithmetic, with no numeric kernel between
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distinct_nodes_give_the_lagrange_form(self, seed):
+        rng = random.Random(300 + seed)
+        n, m = rng.randint(1, 9), rng.randint(1, 4)
+        nodes = []
+        while len(nodes) < n + 1:
+            x = random_fraction(rng, -12, 12, 6)
+            if x not in nodes:
+                nodes.append(x)
+        dds = _dd_pow_exp_all(3, m, nodes)
+        for l in range(4):
+            lagrange = ExpPoly.zero()
+            for j, x in enumerate(nodes):
+                denom = F(1)
+                for k, y in enumerate(nodes):
+                    if k != j:
+                        denom *= x - y
+                lagrange = lagrange + ExpPoly.exponential(m * x, x ** l / denom)
+            assert dds[l] == lagrange, (nodes, m, l)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tangent_is_the_confluent_divided_difference(self, seed):
+        # d/dx_j f[x_0..x_n] = f[x_0, .., x_n, x_j], also inside a repeated block
+        rng = random.Random(400 + seed)
+        n, m = rng.randint(2, 9), rng.randint(1, 4)
+        nodes = repeated_nodes(rng, n)
+        for j in sorted({0, n // 2, n}):
+            unit = [int(i == j) for i in range(n + 1)]
+            tangent = [dd.dual_parts()[1]
+                       for dd in _dd_pow_exp_all(2, m, nodes, unit)]
+            assert tangent == _dd_pow_exp_all(2, m, nodes + [nodes[j]]), (nodes, j)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_powers_follow_the_leibniz_rule(self, seed):
+        # (x f)[x_0..x_n] = x_0 f[x_0..x_n] + f[x_1..x_n], also on repeated nodes
+        rng = random.Random(450 + seed)
+        n, m = rng.randint(2, 9), rng.randint(1, 4)
+        nodes = repeated_nodes(rng, n)
+        full, tail = _dd_pow_exp_all(3, m, nodes), _dd_pow_exp_all(2, m, nodes[1:])
+        for i in range(1, 4):
+            assert full[i] == full[i - 1].mul_scalar(nodes[0]) + tail[i - 1], (nodes, i)
+
+
+def moments_by_l(n, m, eigenvalues, max_l, tangents=None):
+    """The theta-moments I_0..I_max_l, each its own sum over i of DD_i terms."""
+    dds = _dd_pow_exp_all(max_l, m, eigenvalues, tangents)
+    out = []
+    for l in range(max_l + 1):
+        total = ExpPoly.zero()
+        for i in range(l + 1):
+            total = total + dds[i].mul_laurent(
+                LaurentPoly.t_power(i - n, _moment_coefficient(n, m, l, i)))
+        out.append(total)
+    return out
+
+
+class TestMixedIntegralAssembly:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_sum_over_each_integrand_term(self, seed):
+        # sum over (j, l) of kappa_jl * c_jl * I_l, one term at a time
+        rng = random.Random(500 + seed)
+        degrees = [rng.randint(1, 3) for _ in range(seed % 4)]
+        n = rng.randint(max(2, sum(degrees)), 8)
+        ci = CompleteIntersectionSpec.create(n, degrees)
+        m = ci.fano_index
+        eig = repeated_nodes(rng, n) if seed % 2 else \
+            [random_fraction(rng, -12, 12, 5) for _ in range(n + 1)]
+        eig[-1] -= sum(eig, F(0))
+        tangents = [random_fraction(rng) for _ in range(n)]
+        tangents.append(-sum(tangents, F(0)))
+        field = DiagonalField.create(eig, [random_fraction(rng) for _ in degrees])
+        direction = DiagonalField.create(
+            tangents, [random_fraction(rng) for _ in degrees])
+        for k in range(ci.codim + 1):
+            for along in (None, direction):
+                coeffs = _integrand(ci, field, k, along)
+                max_l = max(l for (_, l) in coeffs)
+                moments = moments_by_l(
+                    n, m, field.eigenvalues, max_l,
+                    None if along is None else along.eigenvalues)
+                if along is None:
+                    assert moments == [i0l_symbolic(n, m, field.eigenvalues, l)
+                                       for l in range(max_l + 1)]
+                expected = ExpPoly.zero()
+                for (j, l), c in coeffs.items():
+                    kappa = F(m ** (k - j) * factorial(n - k),
+                              factorial(n - j) * m ** l)
+                    expected = expected + moments[l].mul_laurent(c).mul_scalar(kappa)
+                assert mixed_integral(ci, field, k, along) == expected, (k, along)
 
 
 def kernel_nodes(rng, n, kind):
