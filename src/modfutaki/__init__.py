@@ -5,7 +5,8 @@ trace oracle and a solver for the candidate soliton field.
 """
 
 from .exactalg import (DEFAULT_PRECISION_BITS, Dual, EvalAtPole, ExpPoly,
-                       ExpPolyParseError, LaurentPoly, PoleAtZero)
+                       ExpPolyParseError, LaurentPoly, PoleAtZero,
+                       PrecisionNotReached)
 from .futaki import (expand_integrand, f_function, f_function_via_recursion,
                      f_numeric, fut_derivative)
 from .geometry import (CompleteIntersectionSpec, DiagonalField,
@@ -13,10 +14,9 @@ from .geometry import (CompleteIntersectionSpec, DiagonalField,
                        MalformedSupport, NotFano, NotTraceless,
                        ValidationError, anticanonical_degree, derive_weights,
                        validate)
-from .localization import (RecursionCheck, dd_numeric, i0l_symbolic,
-                           ik0_symbolic, verify_recursion)
-from .quantize import (ConvergenceRow, character_trace, convergence_report,
-                       fk, nk)
+from .localization import (RecursionCheck, i0l_symbolic, ik0_symbolic,
+                           verify_recursion)
+from .quantize import ConvergenceRow, convergence_report, fk, nk
 from .soliton import (AdmissibleTorus, CriticalReport, NoConvergence,
                       SolitonResult, admissible_torus, check_critical,
                       find_soliton)
@@ -28,11 +28,11 @@ __all__ = [
     "CriticalReport", "DEFAULT_PRECISION_BITS", "DiagonalField", "Dual",
     "EvalAtPole", "ExpPoly", "ExpPolyParseError", "InadmissibleDirection",
     "InconsistentWeights", "LaurentPoly", "MalformedSupport", "NoConvergence",
-    "NotFano", "NotTraceless", "PoleAtZero", "RecursionCheck",
-    "SolitonResult", "ValidationError", "admissible_torus",
-    "anticanonical_degree", "character_trace", "check_critical",
-    "convergence_report", "dd_numeric", "derive_weights", "expand_integrand",
-    "f_function", "f_function_via_recursion", "f_numeric", "find_soliton",
-    "fk", "fut_derivative", "i0l_symbolic", "ik0_symbolic", "nk", "validate",
+    "NotFano", "NotTraceless", "PoleAtZero", "PrecisionNotReached",
+    "RecursionCheck", "SolitonResult", "ValidationError", "admissible_torus",
+    "anticanonical_degree", "check_critical", "convergence_report",
+    "derive_weights", "expand_integrand", "f_function",
+    "f_function_via_recursion", "f_numeric", "find_soliton", "fk",
+    "fut_derivative", "i0l_symbolic", "ik0_symbolic", "nk", "validate",
     "verify_recursion",
 ]

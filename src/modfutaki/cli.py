@@ -12,7 +12,9 @@ by binary floats):
     }                                                   // supports are given
 
 Exit codes are a stable contract: 0 ok, 2 input/validation error,
-3 evaluation error (pole), 4 solver failure, 5 verification failure.
+3 evaluation error (a pole, code evaluation_error; or a sum that missed the
+requested precision after every guard pass, code precision_not_reached),
+4 solver failure, 5 verification failure.
 
 Sizes are bounded so that no input runs without limit: --precision (and
 FUTAKI_PRECISION_BITS) must lie in 64..4096 bits, and quantize --k must be
@@ -25,6 +27,7 @@ they print the same error document as every other invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +35,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .exactalg import (DEFAULT_PRECISION_BITS, EvalAtPole, PoleAtZero)
+from .exactalg import (DEFAULT_PRECISION_BITS, EvalAtPole, PoleAtZero,
+                       PrecisionNotReached)
 from .futaki import f_function, f_function_via_recursion, fut_derivative
 from .geometry import (CompleteIntersectionSpec, DiagonalField,
                        ValidationError, anticanonical_degree, derive_weights,
@@ -311,10 +315,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def build_parser():
+@functools.cache
+def build_parser(default_precision):
     # a string default goes through type=int, so a bad value exits 2 too
-    default_precision = os.environ.get("FUTAKI_PRECISION_BITS",
-                                       str(DEFAULT_PRECISION_BITS))
     parser = _ArgumentParser(
         prog="modfutaki",
         description="Tian-Zhu functional and modified Futaki invariant for "
@@ -375,7 +378,8 @@ def _read_document(path):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = build_parser(os.environ.get("FUTAKI_PRECISION_BITS",
+                                         str(DEFAULT_PRECISION_BITS)))
     args = argparse.Namespace()
     try:
         parser.parse_args(argv, args)
@@ -394,6 +398,9 @@ def main(argv=None):
         return EXIT_INVALID
     except (PoleAtZero, EvalAtPole) as exc:
         _report_error(args, "evaluation_error", str(exc))
+        return EXIT_EVAL
+    except PrecisionNotReached as exc:
+        _report_error(args, "precision_not_reached", str(exc))
         return EXIT_EVAL
     except NoConvergence as exc:
         _report_error(args, "no_convergence", str(exc))

@@ -15,7 +15,8 @@ shared by ExpPoly.evaluate, the numeric twin and the quantized trace: a sum
 of pieces is taken at precision + guard bits, and it is accepted when its
 cancellation, log2(max |piece| / |sum|), plus 16 is at most the guard (a zero
 sum counts as full cancellation); otherwise it is taken again with the guard
-set to the cancellation plus 64, four passes at most.
+set to the cancellation plus 64. A sum that still misses the rule on the
+fourth pass raises PrecisionNotReached; no result that broke it is returned.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
@@ -44,6 +45,20 @@ class EvalAtPole(ArithmeticError):
 
 class ExpPolyParseError(ValueError):
     """A string does not conform to the canonical expression grammar."""
+
+
+class PrecisionNotReached(ArithmeticError):
+    """A guarded sum still missed its precision on the last guard pass.
+
+    achieved_bits is what the guard rule credits that pass with: the bits
+    left after the cancellation, less the 16-bit margin; 0 for a zero sum.
+    """
+
+    def __init__(self, requested_bits, achieved_bits):
+        super().__init__(f"{requested_bits} bits were asked for, but the "
+                         f"last guard pass reached {achieved_bits}")
+        self.requested_bits = requested_bits
+        self.achieved_bits = achieved_bits
 
 
 def _to_mpf(x):
@@ -164,23 +179,24 @@ def primal(x):
 def guarded(compute, precision_bits, guard):
     """The result of compute(work_bits) -> (result, pieces), by the guard rule.
 
-    Dual pieces are measured by their primal parts. The result of the last
-    pass is returned as it stands.
+    Dual pieces are measured by their primal parts. A pass that misses the
+    rule on the last try raises PrecisionNotReached.
     """
     for _ in range(_MAX_GUARD_PASSES):
         work_bits = precision_bits + guard
         with mpmath.workprec(work_bits):
             result, pieces = compute(work_bits)
             total = mpmath.fsum(primal(p) for p in pieces)
-            top = max((abs(primal(p)) for p in pieces), default=mpmath.mpf(0))
-            if total == 0 or top == 0:
-                cancel = guard
+            if total == 0:
+                cancel, achieved = guard, 0
             else:
+                top = max(abs(primal(p)) for p in pieces)
                 cancel = max(0, int(mpmath.log(top / abs(total), 2)) + 1)
-        if cancel + 16 <= guard:
+                achieved = work_bits - cancel - 16
+        if achieved >= precision_bits:
             return result
         guard = cancel + 64
-    return result
+    raise PrecisionNotReached(precision_bits, max(0, achieved))
 
 
 class LaurentPoly:
@@ -219,9 +235,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def max_exp(self):
-        return max(self.terms) if self.terms else None
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -269,14 +282,6 @@ class LaurentPoly:
         if c == 0:
             raise ValueError("t-rescaling requires a nonzero factor")
         return LaurentPoly({e: v * c ** e for e, v in self.terms.items()})
-
-    def eval_fraction(self, t):
-        """Exact evaluation at a nonzero rational (rational for rational input)."""
-        t = Fraction(t)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * t ** e
-        return total
 
     def eval_mpf(self, t):
         """Evaluate at an mpf (or Dual over mpf) value of t."""

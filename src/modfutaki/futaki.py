@@ -12,7 +12,8 @@ weight a_i likewise; tangents of frequencies materialize as extra factors of
 t. The numeric twin of the pipeline replaces exact divided differences by the
 bidiagonal evaluator and accepts arbitrary real eigenvalues; its final sum
 starts with a 64-bit guard and is checked by the shared rule of
-exactalg.guarded.
+exactalg.guarded, the only guard on that path: the kernel runs at the guarded
+precision plus what its own squarings lose.
 """
 
 from __future__ import annotations

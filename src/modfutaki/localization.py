@@ -15,8 +15,10 @@ clustered and coincident nodes where the Lagrange form cancels catastrophically.
 For n nodes the kernel never forms a dense product: each Taylor (Horner) step
 multiplies by the bidiagonal matrix, O(n^2); each squaring multiplies upper
 triangular matrices, about n^3/6 products, and the last forms only the last
-column, O(n^2); each further power x^i costs O(n). Callers bound the size of
-the work: the command line accepts 64..4096 bits of precision.
+column, O(n^2); each further power x^i costs O(n). The kernel takes the
+precision it is given as its working precision and adds only the bits its
+squarings lose; the caller's guard covers any other loss. Callers bound the
+size of the work: the command line accepts 64..4096 bits of precision.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from math import comb, factorial
 
 import mpmath
 
-from .exactalg import (DEFAULT_PRECISION_BITS, Dual, ExpPoly, LaurentPoly,
-                       _to_mpf, primal)
+from .exactalg import Dual, ExpPoly, LaurentPoly, _to_mpf, primal
 from .geometry import validate
 
 
@@ -191,15 +192,16 @@ def _dd_numeric_multi(max_power, m, nodes, precision_bits):
     With Z the node matrix, the i-th divided difference is the top entry of
     Z^i exp(m Z) e_n. The exponential is taken of m (Z - c) around the node
     mean c, and the powers follow from the recurrence col <- Z col, O(n) each.
+    The nodes are all Duals of one depth or all plain. precision_bits is the
+    working precision: the kernel adds 2*sigma_guess bits for the squarings,
+    and any further loss is for the caller's guard to cover.
     """
     n = len(nodes)
     norm_guess = 1 + abs(m) * max(float(abs(_to_mpf(primal(x)))) for x in nodes)
     sigma_guess = max(0, int(mpmath.log(norm_guess, 2)) + 2)
-    work = precision_bits + 64 + 2 * sigma_guess
+    work = precision_bits + 2 * sigma_guess
     with mpmath.workprec(work):
         xs = [_to_mpf(x) for x in nodes]
-        if any(isinstance(x, Dual) for x in xs):
-            xs = [Dual.lift(x) for x in xs]
         center = mpmath.fsum(primal(x) for x in xs) / n
         mm = _to_mpf(m)
         front = mpmath.exp(mm * center)
@@ -211,15 +213,6 @@ def _dd_numeric_multi(max_power, m, nodes, precision_bits):
                 + [xs[-1] * col[-1]]
             out.append(col[0])
         return out
-
-
-def dd_numeric(l, m, nodes, precision_bits=DEFAULT_PRECISION_BITS):
-    """Divided difference of x -> x^l e^(m x) over real nodes.
-
-    Permutation invariant and stable for coincident or clustered nodes; the
-    naive Lagrange sum is never formed.
-    """
-    return _dd_numeric_multi(l, m, list(nodes), precision_bits)[l]
 
 
 def i0l_numeric_all(ambient_dim, m, eigenvalues, max_l, precision_bits):

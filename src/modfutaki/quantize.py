@@ -69,23 +69,6 @@ def complete_homogeneous_all(values, max_degree):
     return h
 
 
-def character_trace(eigenvalues, degree, u, precision_bits=DEFAULT_PRECISION_BITS):
-    """Trace of the torus element on degree-d monomials: h_d(e^(r_0 u)..e^(r_N u)).
-
-    Zero for negative degree, one for degree zero; always positive for real
-    inputs since every monomial contributes a positive exponential.
-    """
-    if degree < 0:
-        return mpmath.mpf(0)
-    if degree == 0:
-        return mpmath.mpf(1)
-    with mpmath.workprec(precision_bits + _TRACE_GUARD_BITS):
-        uu = _to_mpf(u) if isinstance(u, Fraction) else mpmath.mpf(u)
-        xs = [mpmath.exp(_to_mpf(Fraction(r)) * uu) for r in eigenvalues]
-        value = complete_homogeneous_all(xs, degree)[degree]
-    return value
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     k: int

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from modfutaki import ExpPoly, cli
+from modfutaki import ExpPoly, cli, exactalg
 from modfutaki.cli import main
 
 from conftest import CUBIC_F
@@ -215,6 +215,31 @@ class TestMalformedInput:
         assert error_code(out) == "invalid_input"
 
 
+class TestPrecisionNotReached:
+    # the cubic's F cancels about 30 bits at t = 1e-5, more than one pass of
+    # evaluate's guard allows
+    ARGV = ["eval", "--t", "1/100000"]
+
+    @pytest.fixture(autouse=True)
+    def one_guard_pass(self, monkeypatch):
+        monkeypatch.setattr(exactalg, "_MAX_GUARD_PASSES", 1)
+
+    def test_json_exits_3(self, cubic_path, capsys):
+        code = main(["--format", "json", *self.ARGV, cubic_path])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert error_code(captured.out) == "precision_not_reached"
+        assert captured.err == ""
+
+    def test_text_exits_3(self, cubic_path, capsys):
+        code = main([*self.ARGV, cubic_path])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error [precision_not_reached]: ")
+        assert captured.err.count("\n") == 1
+
+
 def refuse_work(*args, **kwargs):
     raise AssertionError("a refused input must not start a computation")
 
@@ -242,6 +267,17 @@ class TestLimits:
         with pytest.raises(SystemExit) as exc:
             main(["eval", cubic_path])
         assert exc.value.code == 2
+
+    def test_environment_default_is_read_on_every_call(self, cubic_path,
+                                                        capsys, monkeypatch):
+        argv = ["--format", "json", "eval", cubic_path, "--t", "1/4"]
+        monkeypatch.setenv("FUTAKI_PRECISION_BITS", "128")
+        code, out = run(capsys, *argv)
+        assert json.loads(out)["numeric"]["precision_bits"] == 128
+        monkeypatch.delenv("FUTAKI_PRECISION_BITS")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["numeric"]["precision_bits"] == 256
 
     def test_precision_at_limit(self, cubic_path, capsys):
         code, out = run(capsys, "--format", "json", "eval", cubic_path,

@@ -7,9 +7,10 @@ import mpmath
 import pytest
 
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, Dual, ExpPoly,
-                       InadmissibleDirection, LaurentPoly, derive_weights,
-                       expand_integrand, f_function, f_function_via_recursion,
-                       f_numeric, fut_derivative)
+                       InadmissibleDirection, LaurentPoly, PrecisionNotReached,
+                       derive_weights, expand_integrand, f_function,
+                       f_function_via_recursion, f_numeric, fut_derivative)
+from modfutaki import exactalg
 from modfutaki.geometry import ValidationError
 from modfutaki.soliton import admissible_torus
 
@@ -72,7 +73,7 @@ class TestExpandIntegrand:
             s = ci.codim
             for (j, l), c in mixed.items():
                 assert j + l <= s
-                assert (c.max_exp() or 0) <= s - j - l
+                assert max(c.terms, default=0) <= s - j - l
 
 
 class TestFunctional:
@@ -289,3 +290,24 @@ class TestNumericTwin:
                 for base in (F(0), F(1, 4), F(-1, 4), F(1, 2), F(-1, 2)):
                     second = (g(base + h) - 2 * g(base) + g(base - h)) / hh ** 2
                     assert second <= mpmath.mpf("1e-20")
+
+
+class TestPrecisionGuard:
+    def test_zero_sum_raises(self):
+        # F is exactly 0 at weight d N / m = 9 and zero eigenvalues: the sum
+        # cancels to rounding noise on every pass and never meets the rule
+        with pytest.raises(PrecisionNotReached) as exc:
+            f_numeric(CompleteIntersectionSpec.create(3, [3]),
+                      [0, 0, 0, 0], [9], 64)
+        assert (exc.value.requested_bits, exc.value.achieved_bits) == (64, 0)
+
+    def test_last_pass_raises(self, monkeypatch):
+        # the terms cancel about 30 bits at t = 1e-5, more than the 16 that
+        # evaluate's first guard of 32 bits allows, so one pass cannot do
+        value = f_function(CUBIC, CUBIC_FIELD)
+        assert value.evaluate(F(1, 100000), 256) < 0
+        monkeypatch.setattr(exactalg, "_MAX_GUARD_PASSES", 1)
+        with pytest.raises(PrecisionNotReached) as exc:
+            value.evaluate(F(1, 100000), 256)
+        assert exc.value.requested_bits == 256
+        assert exc.value.achieved_bits < 256
