@@ -377,12 +377,38 @@ def _read_document(path):
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
 
 
+def _is_rational(token):
+    try:
+        Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _join_negative_t(argv):
+    """argv with each `--t -3/7` joined into `--t=-3/7`.
+
+    argparse reads a token that starts with '-' as an option unless it looks
+    like -3 or -0.5, so `--t -3/7` would leave --t without its argument.
+    Only a token that parses as a rational is joined, and none after `--`.
+    """
+    out = []
+    for token in argv:
+        if (out and out[-1] == "--t" and token.startswith("-")
+                and _is_rational(token) and "--" not in out):
+            out[-1] = f"--t={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser(os.environ.get("FUTAKI_PRECISION_BITS",
                                          str(DEFAULT_PRECISION_BITS)))
     args = argparse.Namespace()
     try:
-        parser.parse_args(argv, args)
+        parser.parse_args(
+            _join_negative_t(sys.argv[1:] if argv is None else argv), args)
         if not MIN_PRECISION_BITS <= args.precision <= MAX_PRECISION_BITS:
             raise ValidationError(
                 f"--precision must lie in {MIN_PRECISION_BITS}.."

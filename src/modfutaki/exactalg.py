@@ -132,6 +132,10 @@ class Dual:
 
     __rmul__ = __mul__
 
+    def __rshift__(self, shift):
+        """Floor shift of every slot, for Duals of ints in fixed point."""
+        return Dual(self.value >> shift, self.derivative >> shift)
+
     def __truediv__(self, other):
         if isinstance(other, Dual):
             q = self.value / other.value

@@ -15,10 +15,13 @@ clustered and coincident nodes where the Lagrange form cancels catastrophically.
 For n nodes the kernel never forms a dense product: each Taylor (Horner) step
 multiplies by the bidiagonal matrix, O(n^2); each squaring multiplies upper
 triangular matrices, about n^3/6 products, and the last forms only the last
-column, O(n^2); each further power x^i costs O(n). The kernel takes the
-precision it is given as its working precision and adds only the bits its
-squarings lose; the caller's guard covers any other loss. Callers bound the
-size of the work: the command line accepts 64..4096 bits of precision.
+column, O(n^2); each further power x^i costs O(n). The Taylor steps and the
+squarings run on Python ints in fixed point, at a word size of the working
+precision plus sigma, log2((n-1)!), (n-1) * (sigma - log2 m) when positive,
+and 16 bits (sigma the number of squarings): enough that every entry keeps
+the working precision. The caller's guard covers any other loss. Callers
+bound the size of the work: the command line accepts 64..4096 bits of
+precision.
 """
 
 from __future__ import annotations
@@ -133,6 +136,20 @@ def _mag(x):
     return abs(x)
 
 
+def _fixed(x, shift):
+    """x * 2^shift as an int, truncated, slot by slot for Duals of any depth."""
+    if isinstance(x, Dual):
+        return Dual(_fixed(x.value, shift), _fixed(x.derivative, shift))
+    return int(mpmath.ldexp(x, shift))
+
+
+def _unfixed(x, shift):
+    """The mpf x * 2^-shift of an int x, slot by slot for Duals of any depth."""
+    if isinstance(x, Dual):
+        return Dual(_unfixed(x.value, shift), _unfixed(x.derivative, shift))
+    return mpmath.ldexp(x, -shift)
+
+
 def _expm_last_column(diag, sup, precision_bits):
     """Last column of exp(B) for the upper bidiagonal B = diag(diag) + sup*J.
 
@@ -143,8 +160,30 @@ def _expm_last_column(diag, sup, precision_bits):
     diagonal on (row i holds columns i..n-1). Each Horner step multiplies by
     the bidiagonal B, O(n^2); each squaring multiplies upper-triangular
     matrices, O(n^3/6), and the last one forms only the last column, O(n^2).
-    A Dual factor always stands left of an mpf one: mpf * Dual would have
-    mpmath format the Dual for an error message before deferring to it.
+
+    Both loops run in fixed point: an entry is an int, or a Dual of ints,
+    that stands for itself times 2^-W. A Horner step divides by j through a
+    multiply by 2^W // j and one shift by 2W; a squaring shifts each entry
+    back by W. The word size is
+
+        W = precision_bits + sigma + ceil(log2((n-1)!))
+            + (n-1) * max(0, sigma - floor(log2|sup|)) + 16.
+
+    Why W is enough, at real nodes with sup > 0: entry (i,k) of
+    exp(B/2^sigma) is s^(k-i), s = sup/2^sigma, times a divided difference
+    of exp, which is an integral of exp over a simplex (Hermite-Genocchi).
+    So it is at least s^(k-i) e^(-1/2)/(k-i)!, which the third and fourth
+    terms of W keep above 2^(precision_bits + sigma + 15 - W), and the few
+    units of 2^-W that the Taylor steps round off leave every entry about
+    precision_bits + sigma + 16 relative bits. Each square is again such an
+    exponential, with positive entries, and a squaring sums positive
+    products, so it at most doubles a relative error: the sigma term pays
+    for the squarings. A negative sup flips the sign of entry (i,k) by
+    the parity of k - i and changes no magnitude. An entry whose nodes all
+    lie far below the others can fall under 2^-W in the squarings and keep
+    only absolute accuracy. The top entry, over all the nodes, is at least
+    |sup|^(n-1)/(n-1)! when the nodes are centred (Jensen), so next to it
+    such an entry weighs under 2^-(precision_bits + 16).
     """
     n = len(diag)
     norm = max(_mag(d) + _mag(sup) if i + 1 < n else _mag(d)
@@ -153,9 +192,6 @@ def _expm_last_column(diag, sup, precision_bits):
     while norm > mpmath.mpf("0.5"):
         norm = norm / 2
         sigma += 1
-    scale = mpmath.mpf(2) ** (-sigma)
-    diag = [d * scale for d in diag]
-    sup = sup * scale
 
     # tail of sum_{j>J} (1/2)^j / j! is below 2*(1/2)^(J+1)/(J+1)!
     degree = 1
@@ -165,25 +201,34 @@ def _expm_last_column(diag, sup, precision_bits):
         degree += 1
         tail = 2 * mpmath.mpf(2) ** (-(degree + 1)) / factorial(degree + 1)
 
-    one = mpmath.mpf(1)
-    out = [[one] + [mpmath.mpf(0)] * (n - 1 - i) for i in range(n)]
+    # ceil(log2((n-1)!)), and floor(log2|sup|) is frexp's exponent less one
+    word = (precision_bits + sigma + (factorial(n - 1) - 1).bit_length()
+            + (n - 1) * max(0, sigma - mpmath.frexp(sup)[1] + 1) + 16)
+    diag = [_fixed(d, word - sigma) for d in diag]
+    sup = _fixed(sup, word - sigma)
+    one, twice = 1 << word, 2 * word
+
+    out = [[one] + [0] * (n - 1 - i) for i in range(n)]
     for j in range(degree, 0, -1):
-        inv = one / j
+        inv = one // j
         # row i of (B @ out / j + I), from rows i and i+1 of out
-        out = [[d * row[0] * inv + one]
-               + [(d * row[k] + below[k - 1] * sup) * inv for k in range(1, len(row))]
+        out = [[(d * row[0] * inv >> twice) + one]
+               + [(d * row[k] + below[k - 1] * sup) * inv >> twice
+                  for k in range(1, len(row))]
                for d, row, below in zip(diag, out, out[1:] + [None])]
 
     def square_entry(a, i, k):
         row = a[i]
         return sum((row[j - i] * a[j][k - j] for j in range(i + 1, k + 1)),
-                   row[0] * row[k - i])
+                   row[0] * row[k - i]) >> word
 
     for _ in range(sigma - 1):
         out = [[square_entry(out, i, k) for k in range(i, n)] for i in range(n)]
     if sigma:
-        return [square_entry(out, i, n - 1) for i in range(n)]
-    return [row[-1] for row in out]
+        column = [square_entry(out, i, n - 1) for i in range(n)]
+    else:
+        column = [row[-1] for row in out]
+    return [_unfixed(c, word) for c in column]
 
 
 def _dd_numeric_multi(max_power, m, nodes, precision_bits):
@@ -194,7 +239,10 @@ def _dd_numeric_multi(max_power, m, nodes, precision_bits):
     mean c, and the powers follow from the recurrence col <- Z col, O(n) each.
     The nodes are all Duals of one depth or all plain. precision_bits is the
     working precision: the kernel adds 2*sigma_guess bits for the squarings,
-    and any further loss is for the caller's guard to cover.
+    and the exponential runs on ints at a word size of that precision plus
+    sigma + ceil(log2((n-1)!)) + (n-1)*max(0, sigma - floor(log2 m)) + 16 bits
+    (see _expm_last_column). Any further loss is for the caller's guard to
+    cover.
     """
     n = len(nodes)
     norm_guess = 1 + abs(m) * max(float(abs(_to_mpf(primal(x)))) for x in nodes)

@@ -3,9 +3,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
                        LaurentPoly)
+
+# Every @given test draws the same examples on every run, with no timing limit.
+settings.register_profile("modfutaki", derandomize=True, deadline=None)
+settings.load_profile("modfutaki")
 
 # Cubic surface z0*z1^2 + z2*z3*(z2 - z3) in P^3 with the diagonal field
 # diag(-7, 5, 1, 1) * t; its functional is known in closed form.

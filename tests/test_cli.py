@@ -309,6 +309,45 @@ class TestLimits:
         assert error_code(out) == "invalid_input"
 
 
+class TestNegativeT:
+    # argparse takes -3/7 for an option unless main joins it to --t
+    @pytest.mark.parametrize("command,extra,t", [
+        ("eval", [], "-3/7"),
+        ("derivative", ["--direction", json.dumps(
+            {"eigenvalues": QUADRICS_DOC["eigenvalues"],
+             "weights": QUADRICS_DOC["weights"]})], "-3/7"),
+        ("quantize", ["--k", "8"], "-1/2"),
+        ("verify", [], "-1/4"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_separate_value_matches_joined(self, quadrics_path, capsys,
+                                           command, extra, t, fmt):
+        argv = ["--format", fmt, command, quadrics_path, *extra]
+        outcomes = []
+        for tail in (["--t", t], [f"--t={t}"]):
+            code = main(argv + tail)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0
+        if fmt == "json" and command != "verify":
+            doc = json.loads(outcomes[0][1])
+            assert doc.get("numeric", doc)["t"] == t
+
+    @pytest.mark.parametrize("token", ["-x", "-1/0", "-3/"])
+    def test_token_that_is_not_rational_exits_2(self, cubic_path, capsys, token):
+        code, out = run(capsys, "--format", "json", "eval", cubic_path,
+                        "--t", token)
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+
+    def test_nothing_after_double_dash_is_joined(self):
+        assert cli._join_negative_t(["eval", "--", "--t", "-3/7"]) == \
+            ["eval", "--", "--t", "-3/7"]
+        assert cli._join_negative_t(["eval", "--t", "-3/7"]) == \
+            ["eval", "--t=-3/7"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv,env", [
         (["quantize", "--k", "abc"], None),

@@ -151,6 +151,10 @@ class TestDual:
         assert Dual(F(3), F(0)) == F(3)
         assert Dual(F(3), F(1)) != F(3)
 
+    def test_shift_floors_every_slot(self):
+        x = Dual(Dual(13, -13), Dual(-1, 1024))
+        assert x >> 3 == Dual(Dual(1, -2), Dual(-1, 128))
+
 
 _small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 

@@ -6,11 +6,13 @@ from math import factorial
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
                        LaurentPoly, i0l_symbolic, ik0_symbolic,
                        verify_recursion)
-from modfutaki.exactalg import Dual, _to_mpf
+from modfutaki.exactalg import Dual, PrecisionNotReached, _to_mpf
 from modfutaki.futaki import f_numeric
 from modfutaki.localization import (_dd_numeric_multi, _dd_pow_exp_all,
                                     _integrand, _moment_coefficient,
@@ -283,10 +285,10 @@ def kernel_nodes(rng, n, kind):
     return [a if i % 3 else b for i in range(n + 1)]
 
 
-def assert_close(num, exact, bits):
-    """Relative agreement to bits - 16 bits (absolute when exact is 0)."""
+def assert_close(num, exact, bits, slack=16):
+    """Relative agreement to bits - slack bits (absolute when exact is 0)."""
     scale = abs(exact) if exact else mpmath.mpf(1)
-    assert abs(num - exact) <= mpmath.mpf(2) ** -(bits - 16) * scale, (num, exact)
+    assert abs(num - exact) <= mpmath.mpf(2) ** -(bits - slack) * scale, (num, exact)
 
 
 KERNEL_CASES = [(n, kind) for n in (3, 6, 10, 16, 24)
@@ -353,6 +355,99 @@ class TestBidiagonalKernel:
         assert isinstance(result, Dual)
         assert type(result.derivative) is type(lam[0].derivative)
         assert calls == []
+
+
+class TestKernelWordSize:
+    # One node at +24 and the rest within 1 of -24, at m = 1: entry (i,k) of
+    # the scaled exponential falls to about 2^(-(k-i)*sigma)/(k-i)!, and the
+    # word size must hold it. The kernel is given bits alone, with no guard.
+    @pytest.mark.parametrize("n", [16, 25])
+    @pytest.mark.parametrize("bits", [192, 256])
+    def test_skewed_wide_nodes(self, n, bits):
+        rng = random.Random(n)
+        nodes = [F(24)] + [F(-24) + F(j % 9, 8) for j in range(n - 1)]
+        rng.shuffle(nodes)
+        tangents = [F(rng.randint(-3, 3)) for _ in nodes]
+        exact = [(value.evaluate(1, bits + 64), tangent.evaluate(1, bits + 64))
+                 for value, tangent in (dd.dual_parts() for dd in
+                                        _dd_pow_exp_all(2, 1, nodes, tangents))]
+        plain = _dd_numeric_multi(2, 1, nodes, bits)
+        duals = _dd_numeric_multi(
+            2, 1, [_to_mpf(Dual(x, v)) for x, v in zip(nodes, tangents)], bits)
+        for got, dual, (value, tangent) in zip(plain, duals, exact):
+            assert_close(got, value, bits, slack=4)
+            assert_close(dual.value, value, bits, slack=4)
+            assert_close(dual.derivative, tangent, bits, slack=4)
+
+
+@st.composite
+def dyadic_blocks(draw):
+    """Up to 12 dyadic nodes in repeated blocks, in drawn order."""
+    values = draw(st.lists(st.integers(-64, 64), min_size=1, max_size=4,
+                           unique=True))
+    picks = draw(st.lists(st.sampled_from(values), min_size=1, max_size=12))
+    return [F(v, 8) for v in picks]
+
+
+def at_one(dd, bits):
+    """dd at t = 1 to bits; a sum that cancels on every guard pass is 0."""
+    try:
+        return dd.evaluate(1, bits + 64)
+    except PrecisionNotReached:
+        return mpmath.mpf(0)
+
+
+def slots(x):
+    """f, then D_u f, D_v f and D_u D_v f as far as x carries them."""
+    return slots(x.value) + slots(x.derivative) if isinstance(x, Dual) else [x]
+
+
+def exp_dd_slots(m, nodes, u, v):
+    """f = DD(exp(m x); nodes), D_u f, D_v f and D_u D_v f as ExpPolys.
+
+    D_u D_v f = sum_j v_j D_u f[x, x_j], where x_j moves with u_j twice.
+    """
+    value, d_u = _dd_pow_exp_all(0, m, nodes, u)[0].dual_parts()
+    d_v = _dd_pow_exp_all(0, m, nodes, v)[0].dual_parts()[1]
+    d_uv = ExpPoly.zero()
+    for j, b in enumerate(v):
+        if b:
+            extended = _dd_pow_exp_all(0, m, nodes + [nodes[j]], u + [u[j]])[0]
+            d_uv = d_uv + extended.dual_parts()[1].mul_scalar(F(b))
+    return value, d_u, d_v, d_uv
+
+
+class TestKernelProperties:
+    # Every divided difference of exp(m x), m > 0, is positive
+    # (Hermite-Genocchi), and so is each mixed partial in the nodes. A slot
+    # is compared to bits - 16 against its own value with every tangent
+    # replaced by its absolute value: the size of the terms it sums.
+    @settings(max_examples=40)
+    @given(nodes=dyadic_blocks(), m=st.integers(1, 8),
+           bits=st.sampled_from([64, 128, 256]),
+           seed=st.sampled_from(["plain", "dual", "nested"]),
+           data=st.data())
+    def test_matches_exact_kernel(self, nodes, m, bits, seed, data):
+        def tangents():
+            return data.draw(st.lists(st.integers(-3, 3), min_size=len(nodes),
+                                      max_size=len(nodes)))
+
+        u = tangents() if seed != "plain" else [0] * len(nodes)
+        v = tangents() if seed == "nested" else [0] * len(nodes)
+        if seed == "plain":
+            inputs = nodes
+        elif seed == "dual":
+            inputs = [_to_mpf(Dual(x, a)) for x, a in zip(nodes, u)]
+        else:
+            inputs = [_to_mpf(Dual(Dual(x, a), Dual(b, 0)))
+                      for x, a, b in zip(nodes, u, v)]
+        got = _dd_numeric_multi(0, m, inputs, bits)[0]
+        exact = exp_dd_slots(m, nodes, u, v)
+        scale = exp_dd_slots(m, nodes, [abs(a) for a in u], [abs(b) for b in v])
+        for g, want, size in zip(slots(got), exact, scale):
+            assert abs(g - at_one(want, bits)) \
+                <= mpmath.mpf(2) ** -(bits - 16) * at_one(size, bits), \
+                (nodes, m, bits, u, v)
 
 
 class TestIntersectionLevels:
