@@ -17,20 +17,19 @@ from .geometry import (CompleteIntersectionSpec, DiagonalField,
 from .localization import (RecursionCheck, i0l_symbolic, ik0_symbolic,
                            verify_recursion)
 from .quantize import ConvergenceRow, convergence_report, fk, nk
-from .soliton import (AdmissibleTorus, CriticalReport, NoConvergence,
-                      SolitonResult, admissible_torus, check_critical,
-                      find_soliton)
+from .soliton import (AdmissibleTorus, NoConvergence, SolitonResult,
+                      admissible_torus, find_soliton)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleTorus", "CompleteIntersectionSpec", "ConvergenceRow",
-    "CriticalReport", "DEFAULT_PRECISION_BITS", "DiagonalField", "Dual",
+    "DEFAULT_PRECISION_BITS", "DiagonalField", "Dual",
     "EvalAtPole", "ExpPoly", "ExpPolyParseError", "InadmissibleDirection",
     "InconsistentWeights", "LaurentPoly", "MalformedSupport", "NoConvergence",
     "NotFano", "NotTraceless", "PoleAtZero", "PrecisionNotReached",
     "RecursionCheck", "SolitonResult", "ValidationError", "admissible_torus",
-    "anticanonical_degree", "check_critical", "convergence_report",
+    "anticanonical_degree", "convergence_report",
     "derive_weights", "expand_integrand", "f_function",
     "f_function_via_recursion", "f_numeric", "find_soliton", "fk",
     "fut_derivative", "i0l_symbolic", "ik0_symbolic", "nk", "validate",

@@ -8,11 +8,13 @@ c), so the candidate soliton field is its unique maximizer; at the maximizer
 every directional derivative Fut_V(W_j) vanishes.
 
 The maximizer is located by Newton iteration with a backtracking line search
-from c = 0 (where F = -1 and the map is smooth). Derivatives are exact in the
-automatic-differentiation sense, both from the numeric pipeline over Dual
-numbers: the gradient entry Fut_V(W_j) from inputs seeded with the tangent
-W_j, and the Hessian entry H_ij from a Dual of Duals seeded with W_i and W_j,
-one f_numeric call for each of the r(r+1)/2 entries on or above the diagonal.
+from c = 0 (where F = -1 and the map is smooth). Each point c is evaluated
+once, by the numeric pipeline over a Dual of Duals with the coordinates c_i
+and c_j seeded: one f_numeric call for each of the r(r+1)/2 Hessian entries
+H_ij on or above the diagonal, the diagonal calls also carrying the gradient
+entry Fut_V(W_i) and the value F. All three are exact in the
+automatic-differentiation sense. The start point and each line-search trial
+cost r(r+1)/2 calls, and an accepted trial's derivatives serve the next step.
 """
 
 from __future__ import annotations
@@ -69,13 +71,6 @@ class SolitonResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class CriticalReport:
-    values: tuple
-    tol: float
-    ok: bool
-
-
 def _nullspace_basis(rows, width):
     """Primitive integer basis of the rational null space of the row system."""
     matrix = [[Fraction(x) for x in row] for row in rows]
@@ -128,53 +123,39 @@ def admissible_torus(ci):
     return AdmissibleTorus(_nullspace_basis(rows, width))
 
 
-def _numeric_weights(ci, lam):
-    """Weights of the field with eigenvalues lam, from each support's first monomial."""
-    return [sum((a * lam[i] for i, a in enumerate(sup[0]) if a), mpmath.mpf(0))
-            for sup in ci.supports]
+def _field(torus, betas, coefficients):
+    """Eigenvalues and weights of sum_k c_k (vec_k, beta_k); c_k mpf or Duals."""
+    def combine(vectors):
+        out = []
+        for entries in zip(*vectors):
+            terms = [c * _to_mpf(x) for c, x in zip(coefficients, entries)]
+            out.append(sum(terms[1:], terms[0]))
+        return out
+    return combine(torus.basis), combine(betas)
 
 
-def _field_data(ci, torus, coefficients):
-    """Eigenvalues and weights (numeric) of the combination sum c_j W_j."""
-    width = ci.ambient_dim + 1
-    lam = [mpmath.mpf(0)] * width
-    for c, vec in zip(coefficients, torus.basis):
-        for i in range(width):
-            lam[i] = lam[i] + c * _to_mpf(vec[i])
-    return lam, _numeric_weights(ci, lam)
+def _derivatives(ci, torus, betas, coefficients, bits):
+    """F, its gradient (Fut_V(W_i))_i and its Hessian at the coordinates c.
 
-
-def _seed(lam, weights, vec, beta):
-    """The field (lam, weights) one Dual level deeper, with tangent (vec, beta)."""
-    return ([Dual(x, x * 0 + _to_mpf(v)) for x, v in zip(lam, vec)],
-            [Dual(w, w * 0 + _to_mpf(b)) for w, b in zip(weights, beta)])
-
-
-def _gradient(ci, torus, betas, lam, weights, precision_bits):
-    """Fut at the field (lam, weights) along every basis direction of the torus."""
-    return [f_numeric(ci, *_seed(lam, weights, vec, beta), precision_bits).derivative
-            for vec, beta in zip(torus.basis, betas)]
-
-
-def _value(ci, torus, coefficients, precision_bits):
-    return f_numeric(ci, *_field_data(ci, torus, coefficients), precision_bits)
-
-
-def _hessian(ci, torus, betas, lam, weights, precision_bits):
-    """Second derivatives of F at (lam, weights) along the basis directions.
-
-    Entry (i, j) is exact: the derivative-of-derivative slot of f_numeric
-    over a Dual of Duals seeded with W_i, then W_j.
+    Entry (i, j) on or above the diagonal costs one f_numeric call, with the
+    coordinates seeded as c_k -> Dual(Dual(c_k, [k == i]), Dual([k == j], 0)).
+    The result is Dual(Dual(F, D_i F), Dual(D_j F, H_ij)), so the diagonal
+    calls give the gradient and every call gives F.
     """
     r = torus.dimension
+    one, zero = mpmath.mpf(1), mpmath.mpf(0)
+    grad = [None] * r
     hess = mpmath.matrix(r, r)
     for i in range(r):
-        inner = _seed(lam, weights, torus.basis[i], betas[i])
         for j in range(i, r):
-            outer = _seed(*inner, torus.basis[j], betas[j])
-            entry = f_numeric(ci, *outer, precision_bits).derivative.derivative
-            hess[i, j] = hess[j, i] = entry
-    return hess
+            seeded = [Dual(Dual(c, one if k == i else zero),
+                           Dual(one if k == j else zero, zero))
+                      for k, c in enumerate(coefficients)]
+            out = f_numeric(ci, *_field(torus, betas, seeded), bits)
+            hess[i, j] = hess[j, i] = out.derivative.derivative
+            if i == j:
+                grad[i] = out.value.derivative
+    return out.value.value, grad, hess
 
 
 def find_soliton(ci, tol=1e-10, max_iter=60,
@@ -182,11 +163,17 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
     """Maximize F over the admissible torus; gradient entries are Fut_V(W_j).
 
     Returns the trivial field immediately when the torus is zero-dimensional
-    (the classical, unmodified case). Raises NoConvergence when the iteration
-    budget runs out or the line search stalls, reporting the last iterate and
-    the Newton steps taken.
+    (the classical, unmodified case). Raises ValidationError unless tol is
+    finite and positive and max_iter is nonnegative, and NoConvergence when
+    the iteration budget runs out or the line search stalls, reporting the
+    last iterate and the Newton steps taken.
     """
     ci.check()
+    tol_mpf = mpmath.mpf(tol)
+    if not (mpmath.isfinite(tol_mpf) and tol_mpf > 0):
+        raise ValidationError(f"tolerance must be finite and positive, got {tol}")
+    if max_iter < 0:
+        raise ValidationError(f"max_iter must be nonnegative, got {max_iter}")
     torus = admissible_torus(ci)
     r = torus.dimension
     width = ci.ambient_dim + 1
@@ -200,21 +187,18 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
             f_value=mpmath.mpf(-1), iterations=0)
 
     betas = [derive_weights(ci, vec) for vec in torus.basis]
-    tol_mpf = mpmath.mpf(tol)
     with mpmath.workprec(precision_bits + 32):
         coeffs = [mpmath.mpf(0)] * r
-        value = _value(ci, torus, coeffs, precision_bits)
+        value, grad, hess = _derivatives(ci, torus, betas, coeffs,
+                                         precision_bits)
         iterations = 0
         while True:
-            lam, weights = _field_data(ci, torus, coeffs)
-            grad = _gradient(ci, torus, betas, lam, weights, precision_bits)
             gnorm = max(abs(g) for g in grad)
             if gnorm < tol_mpf:
                 break
             if iterations >= max_iter:
                 raise NoConvergence("no convergence", iterations,
                                     tuple(coeffs), gnorm)
-            hess = _hessian(ci, torus, betas, lam, weights, precision_bits)
             try:
                 step = mpmath.lu_solve(hess, mpmath.matrix([-g for g in grad]))
                 direction = [step[i] for i in range(r)]
@@ -227,35 +211,21 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
             alpha = mpmath.mpf(1)
             while True:
                 trial = [c + alpha * d for c, d in zip(coeffs, direction)]
-                trial_value = _value(ci, torus, trial, precision_bits)
+                trial_value, trial_grad, trial_hess = _derivatives(
+                    ci, torus, betas, trial, precision_bits)
                 if trial_value >= value + _ARMIJO * alpha * slope:
                     break
                 alpha = alpha / 2
                 if alpha < mpmath.mpf(2) ** (-80):
                     raise NoConvergence("line search stalled", iterations,
                                         tuple(coeffs), gnorm)
-            coeffs = trial
-            value = trial_value
+            coeffs, value = trial, trial_value
+            grad, hess = trial_grad, trial_hess
             iterations += 1
 
+        lam, weights = _field(torus, betas, coeffs)
         return SolitonResult(
             trivial=False, coefficients=tuple(coeffs),
             eigenvalues=tuple(lam), weights=tuple(weights),
             gradient=tuple(grad), gradient_norm=gnorm,
             f_value=value, iterations=iterations)
-
-
-def check_critical(ci, eigenvalues, tol=1e-8,
-                   precision_bits=DEFAULT_PRECISION_BITS):
-    """Directional derivatives Fut at the given field along every basis direction."""
-    ci.check()
-    torus = admissible_torus(ci)
-    if torus.dimension == 0:
-        return CriticalReport(values=(), tol=tol, ok=True)
-    betas = [derive_weights(ci, vec) for vec in torus.basis]
-    with mpmath.workprec(precision_bits + 32):
-        lam = [_to_mpf(x) for x in eigenvalues]
-        values = _gradient(ci, torus, betas, lam, _numeric_weights(ci, lam),
-                           precision_bits)
-        ok = all(abs(v) < mpmath.mpf(tol) for v in values)
-    return CriticalReport(values=tuple(values), tol=tol, ok=ok)

@@ -2,9 +2,10 @@
 
 import json
 
+import mpmath
 import pytest
 
-from modfutaki import ExpPoly, cli, exactalg
+from modfutaki import ConvergenceRow, ExpPoly, cli, exactalg, soliton
 from modfutaki.cli import main
 
 from conftest import CUBIC_F
@@ -131,6 +132,22 @@ class TestDerivative:
                       "--direction", direction)
         assert code == 2
 
+    @pytest.mark.parametrize("direction,expected", [
+        ({"eigenvalues": ["1", "-1", "0", "0"]}, 2),
+        ({"eigenvalues": ["1", "-1", "0", "0"], "weights": ["1"]}, 0),
+        ({"eigenvalues": ["0", "0", "0", "0"]}, 0),
+    ], ids=["nonzero-without-weights", "nonzero-with-weights", "zero"])
+    def test_direction_weights_without_supports(self, tmp_path, capsys,
+                                                direction, expected):
+        # without supports only the zero direction has weights by default
+        path = tmp_path / "quadric.json"
+        path.write_text(json.dumps({"ambient_dim": 3, "degrees": [2]}))
+        code, out = run(capsys, "--format", "json", "derivative", str(path),
+                        "--direction", json.dumps(direction))
+        assert code == expected
+        if expected:
+            assert error_code(out) == "invalid_input"
+
 
 class TestQuantize:
     def test_zero_field_zero_error(self, tmp_path, capsys):
@@ -184,6 +201,30 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         code, _ = run(capsys, "verify", str(path))
         assert code == 2
+
+    def test_error_need_not_fall_at_every_level(self, tmp_path, capsys):
+        # the errors at k = 8, 16, 32, 64 are 2.1e-4, 5.4e-4, 3.8e-4, 2.2e-4,
+        # so k |error| grows by less than half at the top level
+        doc = {"ambient_dim": 3, "degrees": [1],
+               "eigenvalues": ["-3", "10/3", "-4", "11/3"], "weights": ["-8"]}
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "--format", "json", "verify", str(path),
+                        "--t", "1/4")
+        assert code == 0
+        assert all(check["ok"] for check in json.loads(out)["checks"])
+
+    def test_offset_ladder_fails(self, cubic_path, capsys, monkeypatch):
+        # a constant error doubles k |error| at each level: no convergence
+        def offset_ladder(ci, field, t, k_list, precision_bits):
+            return [ConvergenceRow(k=k, nk=1, ratio=None, reference=None,
+                                   error=mpmath.mpf("1e-3")) for k in k_list]
+
+        monkeypatch.setattr(cli, "convergence_report", offset_ladder)
+        code, out = run(capsys, "--format", "json", "verify", cubic_path)
+        assert code == 5
+        doc = json.loads(out)
+        assert doc["status"] == "failed: quantized_convergence"
 
 
 def error_code(out):
@@ -284,6 +325,24 @@ class TestLimits:
                         "--t", "1/4", "--precision", str(cli.MAX_PRECISION_BITS))
         assert code == 0
         assert json.loads(out)["numeric"]["precision_bits"] == cli.MAX_PRECISION_BITS
+
+    @pytest.mark.parametrize("option", [
+        ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+        ("--max-iter", "-3"),
+        ("--max-iter", str(cli.MAX_NEWTON_ITERATIONS + 1)),
+    ], ids=lambda option: " ".join(option))
+    def test_soliton_bounds(self, cubic_path, capsys, monkeypatch, option):
+        monkeypatch.setattr(soliton, "_derivatives", refuse_work)
+        code, out = run(capsys, "--format", "json", "soliton", cubic_path,
+                        *option)
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+
+    def test_max_iter_at_limit(self, cubic_path, capsys):
+        code, out = run(capsys, "--format", "json", "soliton", cubic_path,
+                        "--max-iter", str(cli.MAX_NEWTON_ITERATIONS))
+        assert code == 0
+        assert json.loads(out)["iterations"] == 6
 
     def test_k_above_limit(self, cubic_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "nk", refuse_work)

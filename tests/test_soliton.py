@@ -6,11 +6,11 @@ import mpmath
 import pytest
 
 import modfutaki.soliton as soliton_mod
-from modfutaki import (CompleteIntersectionSpec, DiagonalField, NoConvergence,
-                       check_critical, derive_weights, admissible_torus,
-                       find_soliton, fut_derivative)
+from modfutaki import (CompleteIntersectionSpec, DiagonalField, Dual,
+                       NoConvergence, admissible_torus, derive_weights,
+                       f_function, find_soliton, fut_derivative)
 from modfutaki.exactalg import _to_mpf
-from modfutaki.futaki import f_numeric
+from modfutaki.futaki import _depth, f_numeric
 from modfutaki.geometry import ValidationError
 
 from conftest import CUBIC, FERMAT_CUBIC, P4_CUBIC, QUADRICS
@@ -19,6 +19,22 @@ from conftest import CUBIC, FERMAT_CUBIC, P4_CUBIC, QUADRICS
 def colinear(u, v):
     ratios = {F(a) / F(b) for a, b in zip(u, v) if b != 0}
     return len(ratios) == 1 and all(b != 0 or a == 0 for a, b in zip(u, v))
+
+
+def field_at(ci, coefficients):
+    """The field sum c_k W_k over the torus basis, with rational c_k."""
+    basis = admissible_torus(ci).basis
+    eig = tuple(sum((c * vec[k] for c, vec in zip(coefficients, basis)), F(0))
+                for k in range(ci.ambient_dim + 1))
+    return DiagonalField(eig, derive_weights(ci, eig))
+
+
+def exact_fut(ci, coefficients, i, bits=512):
+    """Exact Fut_V(W_i) at V = sum c_k W_k, evaluated at t = 1."""
+    vec = admissible_torus(ci).basis[i]
+    direction = DiagonalField(vec, derive_weights(ci, vec))
+    return fut_derivative(ci, field_at(ci, coefficients), direction).evaluate(
+        1, bits)
 
 
 def bisect_cubic_critical(precision=300):
@@ -117,12 +133,26 @@ class TestFindSoliton:
         with pytest.raises(NoConvergence):
             find_soliton(CUBIC, tol=1e-10, max_iter=0)
 
+    @pytest.mark.parametrize("tol", [0, -1, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValidationError):
+            find_soliton(CUBIC, tol=tol)
+
+    def test_iteration_budget_must_be_nonnegative(self):
+        with pytest.raises(ValidationError):
+            find_soliton(CUBIC, max_iter=-1)
+
     def test_stalled_line_search_reports_the_steps_taken(self, monkeypatch):
         # F reads 0 at the start and -1 at every trial point, so no step
         # passes the Armijo test
+        derivatives = soliton_mod._derivatives
         values = iter([mpmath.mpf(0)])
-        monkeypatch.setattr(soliton_mod, "_value",
-                            lambda *args: next(values, mpmath.mpf(-1)))
+
+        def evaluation(*args):
+            _, grad, hess = derivatives(*args)
+            return next(values, mpmath.mpf(-1)), grad, hess
+
+        monkeypatch.setattr(soliton_mod, "_derivatives", evaluation)
         with pytest.raises(NoConvergence) as info:
             find_soliton(CUBIC, tol=1e-10, max_iter=60, precision_bits=64)
         assert info.value.iterations == 0
@@ -134,9 +164,9 @@ class TestFindSoliton:
         assert not result.trivial
         assert result.gradient_norm < mpmath.mpf("1e-9")
         assert result.f_value > -1  # strictly above the center value
-        report = check_critical(QUADRICS, result.eigenvalues, tol=1e-8,
-                                precision_bits=192)
-        assert report.ok
+        point = [F(float(c)) for c in result.coefficients]
+        for i in range(2):
+            assert abs(exact_fut(QUADRICS, point, i, 192)) < mpmath.mpf("1e-8")
 
     def test_quadrics_family_direction_bisection(self):
         # restricted to the line through diag(-7,3,-2,5,1), the functional has
@@ -169,48 +199,44 @@ class TestFindSoliton:
             assert abs(slope) < mpmath.mpf("1e-60")
 
 
-class TestCheckCritical:
-    def test_trivial_torus_passes_vacuously(self):
-        report = check_critical(FERMAT_CUBIC, [0, 0, 0, 0])
-        assert report.ok and report.values == ()
+class TestCriticality:
+    """Exact Fut vanishes along the torus at the maximizer, and only there."""
 
-    def test_passes_at_solver_output(self):
+    def test_trivial_torus_has_empty_gradient(self):
+        result = find_soliton(FERMAT_CUBIC)
+        assert result.gradient == () and result.gradient_norm == 0
+
+    def test_fut_vanishes_at_maximizer(self):
         result = find_soliton(CUBIC, tol=1e-11, precision_bits=256)
-        report = check_critical(CUBIC, result.eigenvalues, tol=1e-9,
-                                precision_bits=256)
-        assert report.ok
+        point = [F(float(c)) for c in result.coefficients]
+        assert abs(exact_fut(CUBIC, point, 0, 256)) < mpmath.mpf("1e-9")
 
-    def test_fails_off_the_maximizer(self):
+    def test_fut_nonzero_off_the_maximizer(self):
         result = find_soliton(CUBIC, tol=1e-11, precision_bits=256)
-        basis = admissible_torus(CUBIC).basis[0]
-        perturbed = [x + mpmath.mpf("0.1") * float(b)
-                     for x, b in zip(result.eigenvalues, basis)]
-        report = check_critical(CUBIC, perturbed, tol=1e-3,
-                                precision_bits=192)
-        assert not report.ok
-        assert max(abs(v) for v in report.values) > mpmath.mpf("1e-2")
+        point = [F(float(c)) + F(1, 10) for c in result.coefficients]
+        assert abs(exact_fut(CUBIC, point, 0, 192)) > mpmath.mpf("1e-2")
 
 
-@pytest.fixture(scope="module", params=[(CUBIC, 6, 20), (QUADRICS, 4, 27),
-                                        (P4_CUBIC, 4, 44)],
+@pytest.fixture(scope="module", params=[(CUBIC, 6, 7), (QUADRICS, 4, 15),
+                                        (P4_CUBIC, 4, 30)],
                 ids=["cubic", "quadrics", "p4cubic"])
 def newton_run(request):
     """find_soliton at 64 bits with its f_numeric calls counted.
 
-    Yields the variety, the result, the call count, and the iterations and
-    calls expected.
+    Yields the variety, the result, the Dual depth of each call, and the
+    iterations and calls expected.
     """
     ci, iterations, calls = request.param
     counted = []
 
     def counting(*args):
-        counted.append(args)
+        counted.append(_depth(args[1][0]))
         return f_numeric(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(soliton_mod, "f_numeric", counting)
         result = find_soliton(ci, tol=1e-10, precision_bits=64)
-    return ci, result, len(counted), (iterations, calls)
+    return ci, result, counted, (iterations, calls)
 
 
 class TestExactHessian:
@@ -218,48 +244,50 @@ class TestExactHessian:
     STEP = F(1, 2 ** 40)
 
     def test_newton_cost(self, newton_run):
-        # per step: r(r+1)/2 calls for the Hessian, r for the gradient, one
-        # per line-search trial; the finite-difference Hessian took 4 r^2
-        _, result, calls, expected = newton_run
-        assert (result.iterations, calls) == expected
+        # r(r+1)/2 depth-2 calls at the start and at each line-search trial,
+        # none rejected; the finite-difference Hessian took 4 r^2 per step
+        _, result, depths, expected = newton_run
+        assert (result.iterations, len(depths)) == expected
+        assert set(depths) == {2}
 
     def test_matches_exact_fut_and_is_negative_definite(self, newton_run):
         ci, result, _, _ = newton_run
         torus = admissible_torus(ci)
-        basis = torus.basis
-        betas = [derive_weights(ci, vec) for vec in basis]
+        betas = [derive_weights(ci, vec) for vec in torus.basis]
         r = torus.dimension
-        directions = [DiagonalField(vec, beta) for vec, beta in zip(basis, betas)]
-
-        def fut(cs, i):
-            eig = tuple(sum((c * vec[k] for c, vec in zip(cs, basis)), F(0))
-                        for k in range(ci.ambient_dim + 1))
-            field = DiagonalField(eig, derive_weights(ci, eig))
-            return fut_derivative(ci, field, directions[i]).evaluate(1, 512)
+        one, zero = mpmath.mpf(1), mpmath.mpf(0)
+        rel = mpmath.mpf(2) ** (16 - self.BITS)
 
         for point in ([F(0)] * r, [F(float(c)) for c in result.coefficients]):
             with mpmath.workprec(self.BITS + 32):
-                lam, weights = soliton_mod._field_data(
-                    ci, torus, [_to_mpf(c) for c in point])
-                hess = soliton_mod._hessian(ci, torus, betas, lam, weights,
-                                            self.BITS)
+                coords = [_to_mpf(c) for c in point]
+                value, grad, hess = soliton_mod._derivatives(
+                    ci, torus, betas, coords, self.BITS)
                 for i in range(r):
                     for j in range(i + 1, r):
-                        # seeded with W_j first, then W_i
-                        swapped = f_numeric(ci, *soliton_mod._seed(
-                            *soliton_mod._seed(lam, weights, basis[j], betas[j]),
-                            basis[i], betas[i]), self.BITS).derivative.derivative
-                        assert abs(swapped - hess[i, j]) <= \
-                            mpmath.mpf(2) ** (16 - self.BITS) * abs(hess[i, j])
+                        # seeded with c_j first, then c_i
+                        seeded = [Dual(Dual(c, one if k == j else zero),
+                                       Dual(one if k == i else zero, zero))
+                                  for k, c in enumerate(coords)]
+                        swapped = f_numeric(
+                            ci, *soliton_mod._field(torus, betas, seeded),
+                            self.BITS).derivative.derivative
+                        assert abs(swapped - hess[i, j]) <= rel * abs(hess[i, j])
             mpmath.cholesky(-hess)  # raises unless -H is positive definite
-            # H_ij = d/dc_j Fut(W_i); the central difference of the exact Fut
-            # is good to about 2^-78 here
             with mpmath.workprec(600):
+                exact = f_function(ci, field_at(ci, point)).evaluate(1, 512)
+                assert abs(value - exact) <= rel * abs(exact)
+                for i in range(r):
+                    exact = exact_fut(ci, point, i)
+                    assert abs(grad[i] - exact) <= rel * max(1, abs(exact))
+                # H_ij = d/dc_j Fut(W_i); the central difference of the exact
+                # Fut is good to about 2^-78 here
                 for i in range(r):
                     for j in range(r):
                         up, down = list(point), list(point)
                         up[j] += self.STEP
                         down[j] -= self.STEP
-                        diff = (fut(up, i) - fut(down, i)) / (2 * _to_mpf(self.STEP))
+                        diff = ((exact_fut(ci, up, i) - exact_fut(ci, down, i))
+                                / (2 * _to_mpf(self.STEP)))
                         assert abs(diff - hess[i, j]) <= \
                             mpmath.mpf(2) ** -70 * max(1, abs(diff))

@@ -1,5 +1,7 @@
-"""The benchmark's tracer binds names that the package must keep providing."""
+"""The benchmark's tracer binds names that the package must keep providing,
+and the package exports exactly what it imports."""
 
+import ast
 import dis
 import importlib
 import importlib.util
@@ -48,3 +50,17 @@ def test_binding_resolves(module, attribute, span):
         # module's own code must still load it as a global
         assert name in global_names(importlib.import_module(module)), \
             (module, attribute)
+
+
+def test_package_exports_resolve():
+    # deleting an export must not leave `from modfutaki import *` broken
+    package = importlib.import_module("modfutaki")
+    names = package.__all__
+    assert len(names) == len(set(names))
+    tree = ast.parse(inspect.getsource(package))
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert set(names) <= imported
+    namespace = {}
+    exec("from modfutaki import *", namespace)
+    assert all(name in namespace for name in names)
