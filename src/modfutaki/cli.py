@@ -17,12 +17,16 @@ requested precision after every guard pass, code precision_not_reached),
 4 solver failure, 5 verification failure.
 
 Sizes are bounded so that no input runs without limit: --precision (and
-FUTAKI_PRECISION_BITS) must lie in 64..4096 bits, and quantize --k must be
-positive with k*m at most 2048, m the Fano index, and soliton --max-iter
-must lie in 0..1000 with --tol finite and positive. Anything outside fails
-with exit 2 before any computation starts. Usage errors (an unknown option, a
-non-integer --k or FUTAKI_PRECISION_BITS) exit 2 as well; under --format json
-they print the same error document as every other invalid input.
+FUTAKI_PRECISION_BITS) must lie in 64..4096 bits, every rational (an
+eigenvalue, a weight, a direction or --t) may have at most 100 digits in its
+numerator and in its denominator as written, quantize --k must be positive
+with k*m at most 2048, m the Fano index, and soliton --max-iter must lie in
+0..1000 with --tol finite and positive. Anything outside fails with exit 2
+before any computation starts, except that eval and derivative read --t
+after the expression is computed. Exact results print at any size. Usage
+errors (an unknown option, a non-integer --k or FUTAKI_PRECISION_BITS) exit
+2 as well; under --format json they print the same error document as every
+other invalid input.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -43,7 +48,7 @@ from .geometry import (CompleteIntersectionSpec, DiagonalField,
                        ValidationError, anticanonical_degree, derive_weights,
                        validate)
 from .localization import verify_recursion
-from .quantize import convergence_report, fk, nk
+from .quantize import ConvergenceRow, convergence_report, fk
 from .soliton import NoConvergence, admissible_torus, find_soliton
 
 EXIT_OK = 0
@@ -54,11 +59,37 @@ EXIT_VERIFY = 5
 
 MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 4096
+MAX_RATIONAL_DIGITS = 100
 MAX_NEWTON_ITERATIONS = 1000
 MAX_QUANTIZE_DEGREE = 2048
 
 
+# The forms that Fraction reads, split up so that digits are counted before
+# a number is built: 1e100000000 must not cost a 10^8-digit integer.
+_RATIONAL_FORM = re.compile(
+    r"\s*[-+]?(?P<num>[\d_]*)(?:/(?P<den>[\d_]+)"
+    r"|(?:\.(?P<frac>[\d_]*))?(?:[eE](?P<exp>[-+]?[\d_]+))?)\s*")
+
+
+def _written_digits(form):
+    """Digits of the numerator and of the denominator as written, unreduced."""
+    num, den, frac, exp = ((form[part] or "").replace("_", "")
+                           for part in ("num", "den", "frac", "exp"))
+    digits = len((num + frac).lstrip("0"))
+    if form["den"] is not None:
+        return digits, len(den.lstrip("0"))
+    # the first nine digits of a longer exponent are past the limit already
+    shift = int(exp.lstrip("+-").lstrip("0")[:9] or 0)
+    shift = (-shift if exp.startswith("-") else shift) - len(frac)
+    return digits + max(0, shift), 1 + max(0, -shift)
+
+
 def _parse_rational(text, field_name):
+    form = _RATIONAL_FORM.fullmatch(str(text))
+    if form and max(_written_digits(form)) > MAX_RATIONAL_DIGITS:
+        raise ValidationError(
+            f"field {field_name!r}: a numerator or denominator has more than "
+            f"{MAX_RATIONAL_DIGITS} digits")
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
@@ -152,14 +183,17 @@ def _metadata(ci, field):
 
 
 def _expression_block(p):
-    terms = []
-    for mu in sorted(p.terms):
-        lp = p.terms[mu]
-        terms.append({
-            "frequency": str(mu),
-            "coefficients": {str(e): str(lp.terms[e]) for e in sorted(lp.terms)},
-        })
-    return {"expression": p.to_string(), "terms": terms}
+    # exact results print at any size; Python's int-to-str digit limit stays
+    # in force everywhere else, input parsing included
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        terms = [{"frequency": str(mu),
+                  "coefficients": {str(e): str(c) for e, c in sorted(lp.terms.items())}}
+                 for mu, lp in sorted(p.terms.items())]
+        return {"expression": p.to_string(), "terms": terms}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(payload, args):
@@ -214,7 +248,7 @@ def cmd_eval(ci, field, args):
 def cmd_derivative(ci, field, args):
     try:
         doc = json.loads(args.direction)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ValidationError(f"--direction is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "eigenvalues" not in doc:
         raise ValidationError("--direction must be an object with 'eigenvalues'")
@@ -238,21 +272,18 @@ def cmd_quantize(ci, field, args):
         raise ValidationError(
             f"--k {k} with fano index {ci.fano_index} exceeds the limit "
             f"k*m <= {MAX_QUANTIZE_DEGREE}")
-    dim = nk(ci, k)
-    level_value = fk(ci, field, k, t, args.precision)
-    reference = f_function(ci, field).evaluate(t, args.precision)
-    with mpmath.workprec(args.precision + 32):
-        ratio = level_value / (k * dim)
-        error = abs(ratio - reference)
+    row = ConvergenceRow.at_level(
+        ci, k, fk(ci, field, k, t, args.precision),
+        f_function(ci, field).evaluate(t, args.precision), args.precision)
     payload = {
         "k": k,
-        "nk": dim,
+        "nk": row.nk,
         "t": str(t),
         "precision_bits": args.precision,
-        "fk": _format_mpf(level_value, args.precision),
-        "ratio": _format_mpf(ratio, args.precision),
-        "localization": _format_mpf(reference, args.precision),
-        "error": _format_mpf(error, args.precision),
+        "fk": _format_mpf(row.fk, args.precision),
+        "ratio": _format_mpf(row.ratio, args.precision),
+        "localization": _format_mpf(row.reference, args.precision),
+        "error": _format_mpf(row.error, args.precision),
         "metadata": _metadata(ci, field),
     }
     _emit(payload, args)
@@ -387,7 +418,7 @@ def _read_document(path):
             raise ValidationError(f"cannot read input: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
 
 

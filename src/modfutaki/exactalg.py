@@ -18,8 +18,10 @@ sum counts as full cancellation); otherwise it is taken again with the guard
 set to the cancellation plus 64. A sum that still misses the rule on the
 fourth pass raises PrecisionNotReached; no result that broke it is returned.
 
-All values are immutable after construction and all operations are pure, so
-everything here is safe to share across threads.
+All values are immutable after construction and the exact operations are
+pure, so exact (Fraction) results are safe to compute across threads.
+Anything that takes precision_bits is not: mpmath.workprec sets mpmath's
+process-wide precision, so two threads inside it read each other's setting.
 """
 
 from __future__ import annotations
@@ -90,10 +92,6 @@ class Dual:
         self.value = value
         self.derivative = derivative
 
-    @staticmethod
-    def lift(x):
-        return x if isinstance(x, Dual) else Dual(x, 0)
-
     def __bool__(self):
         return bool(self.value) or bool(self.derivative)
 
@@ -143,33 +141,28 @@ class Dual:
         return Dual(self.value / other, self.derivative / other)
 
     def __rtruediv__(self, other):
-        return Dual.lift(other) / self
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("Dual powers are restricted to nonnegative integers")
-        out = Dual(self.value ** 0, self.value * 0)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def exp(self):
-        e = scalar_exp(self.value)
-        return Dual(e, self.derivative * e)
+        return Dual(other, 0) / self
 
     def __repr__(self):
         return f"Dual({self.value!r}, {self.derivative!r})"
 
 
+def slotwise(fn, *xs):
+    """fn on plain scalars, and slot by slot on Duals of any depth.
+
+    The xs are all plain or all Duals of one depth.
+    """
+    if isinstance(xs[0], Dual):
+        return Dual(slotwise(fn, *[x.value for x in xs]),
+                    slotwise(fn, *[x.derivative for x in xs]))
+    return fn(*xs)
+
+
 def scalar_exp(x):
-    """exp on plain mpmath scalars and on Dual numbers."""
+    """exp on plain mpmath scalars and on Duals of any depth."""
     if isinstance(x, Dual):
-        return x.exp()
+        e = scalar_exp(x.value)
+        return Dual(e, x.derivative * e)
     return mpmath.exp(x)
 
 
@@ -203,7 +196,67 @@ def guarded(compute, precision_bits, guard):
     raise PrecisionNotReached(precision_bits, max(0, achieved))
 
 
-class LaurentPoly:
+class _TermMap:
+    """Sparse map from a key to a nonzero coefficient, and its ring operations.
+
+    Sums add coefficients key by key. A product with a map of the same type
+    is the convolution over keys; any other factor multiplies every
+    coefficient, except a map of a type that this one cannot hold as a
+    coefficient, which is left to that type.
+    """
+
+    __slots__ = ("terms",)
+    _key = None               # normalizes a key
+    _coefficient_maps = ()    # map types allowed as a coefficient factor
+
+    def __init__(self, terms=None):
+        key = self._key
+        self.terms = {key(k): c for k, c in terms.items() if c} if terms else {}
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            out = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    k, c = k1 + k2, c1 * c2
+                    out[k] = out[k] + c if k in out else c
+            return type(self)(out)
+        if isinstance(other, _TermMap) and not isinstance(
+                other, self._coefficient_maps):
+            return NotImplemented
+        return type(self)({k: c * other for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+
+class LaurentPoly(_TermMap):
     """Finite Laurent polynomial in t, stored as exponent -> nonzero coefficient.
 
     The zero polynomial has an empty term map. Coefficients are Fractions in
@@ -211,23 +264,8 @@ class LaurentPoly:
     derivative is being carried.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[int(e)] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: Fraction(1)})
+    __slots__ = ()
+    _key = int
 
     @classmethod
     def const(cls, c):
@@ -236,45 +274,6 @@ class LaurentPoly:
     @classmethod
     def t_power(cls, e, c=Fraction(1)):
         return cls({e: c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = e1 + e2
-                    out[e] = out.get(e, 0) + c1 * c2
-            return LaurentPoly(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        return LaurentPoly({e: c * v for e, v in self.terms.items()})
 
     def derivative(self):
         """d/dt, term-wise: t^e -> e * t^(e-1)."""
@@ -311,80 +310,31 @@ _TERM_RE = re.compile(
 )
 
 
-class ExpPoly:
+class ExpPoly(_TermMap):
     """Exponential polynomial: frequency -> LaurentPoly coefficient, canonical.
 
     Frequencies are exact rationals so that terms with equal frequency always
     merge; structural equality of canonical forms is equality as functions.
+    A plain scalar coefficient stands for the constant LaurentPoly.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _key = Fraction
+    _coefficient_maps = (LaurentPoly,)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mu, lp in terms.items():
-                if not isinstance(lp, LaurentPoly):
-                    lp = LaurentPoly.const(lp) if lp else LaurentPoly.zero()
-                if not lp.is_zero():
-                    clean[Fraction(mu)] = lp
-        self.terms = clean
-
-    @classmethod
-    def zero(cls):
-        return cls()
+        super().__init__(terms and {
+            mu: c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+            for mu, c in terms.items()})
 
     @classmethod
     def const(cls, c):
-        return cls({Fraction(0): LaurentPoly.const(Fraction(c))})
+        return cls({0: Fraction(c)})
 
     @classmethod
     def exponential(cls, mu, coeff=Fraction(1)):
         """The single term coeff(t) * exp(mu*t)."""
-        if not isinstance(coeff, LaurentPoly):
-            coeff = LaurentPoly.const(coeff)
         return cls({Fraction(mu): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for mu, lp in other.terms.items():
-            out[mu] = out[mu] + lp if mu in out else lp
-        return ExpPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ExpPoly({mu: -lp for mu, lp in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        out = {}
-        for mu1, lp1 in self.terms.items():
-            for mu2, lp2 in other.terms.items():
-                mu = mu1 + mu2
-                prod = lp1 * lp2
-                out[mu] = out[mu] + prod if mu in out else prod
-        return ExpPoly(out)
-
-    def mul_laurent(self, lp):
-        return ExpPoly({mu: c * lp for mu, c in self.terms.items()})
-
-    def mul_scalar(self, c):
-        return ExpPoly({mu: v.scale(c) for mu, v in self.terms.items()})
 
     def shift_frequency(self, delta):
         """Multiply by exp(delta*t): every frequency moves by delta."""
@@ -393,10 +343,8 @@ class ExpPoly:
 
     def t_derivative(self):
         """d/dt, term-wise: c(t)e^(mu t) -> (c'(t) + mu*c(t)) e^(mu t)."""
-        out = {}
-        for mu, lp in self.terms.items():
-            out[mu] = lp.derivative() + lp.scale(mu)
-        return ExpPoly(out)
+        return ExpPoly({mu: lp.derivative() + lp * mu
+                        for mu, lp in self.terms.items()})
 
     def scale_t(self, c):
         """Substitute t -> c*t for nonzero rational c."""
@@ -496,7 +444,7 @@ class ExpPoly:
         """
         text = text.strip()
         if text == "0":
-            return cls.zero()
+            return cls()
         acc = {}
         for raw in text.split(" + "):
             m = _TERM_RE.match(raw.strip())

@@ -24,7 +24,7 @@ from math import factorial, prod
 import mpmath
 
 from .exactalg import (DEFAULT_PRECISION_BITS, Dual, LaurentPoly, _to_mpf,
-                       guarded, scalar_exp)
+                       guarded, scalar_exp, slotwise)
 from .geometry import InadmissibleDirection, ValidationError, validate
 from .localization import (_integrand, expand_equivariant_product,
                            i0l_numeric_all, i0l_symbolic, mixed_integral,
@@ -51,7 +51,7 @@ def _normalization(ci):
 def _from_top_level(ci, field, top):
     """F = -exp(sum a_i t) I_s / (d_1..d_s) from the top-level integral I_s."""
     shifted = top.shift_frequency(sum(field.weights, Fraction(0)))
-    return shifted.mul_scalar(Fraction(-1, prod(ci.degrees)))
+    return shifted * Fraction(-1, prod(ci.degrees))
 
 
 def f_function(ci, field):
@@ -88,22 +88,14 @@ def fut_derivative(ci, field, direction):
     top = mixed_integral(ci, field, ci.codim, direction)
     # d/ds exp((a + s b) t) = b t exp(a t): the frequency tangent
     beta_sum = sum(direction.weights, Fraction(0))
-    top = top.mul_laurent(LaurentPoly(
-        {0: Dual(Fraction(1), Fraction(0)), 1: Dual(Fraction(0), beta_sum)}))
+    top = top * LaurentPoly(
+        {0: Dual(Fraction(1), Fraction(0)), 1: Dual(Fraction(0), beta_sum)})
     return _from_top_level(ci, field, top).dual_parts()[1]
 
 
 def _depth(x):
     """How deeply Duals nest in x along the value slots; 0 for a plain scalar."""
     return 1 + _depth(x.value) if isinstance(x, Dual) else 0
-
-
-def _fsum(xs):
-    """mpmath.fsum, slot by slot over Duals of any depth."""
-    xs = list(xs)
-    if xs and isinstance(xs[0], Dual):
-        return Dual(_fsum(x.value for x in xs), _fsum(x.derivative for x in xs))
-    return mpmath.fsum(xs)
 
 
 def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
@@ -141,7 +133,7 @@ def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
     def compute(work_bits):
         lam = [lifted(x) for x in eigenvalues]
         alph = [lifted(x) for x in weights]
-        one = lam[0] ** 0
+        one = lifted(1)
         coeffs = expand_equivariant_product(ci.degrees, alph, one)
         moments = i0l_numeric_all(n, m, lam, s, work_bits)
         pieces = []
@@ -149,6 +141,6 @@ def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
             kappa = Fraction(m ** (n - j), factorial(n - j) * m ** l)
             pieces.append(c * _to_mpf(kappa) * moments[l])
         prefactor = scalar_exp(sum(alph, one * 0)) * -_to_mpf(_normalization(ci))
-        return prefactor * _fsum(pieces), pieces
+        return prefactor * slotwise(lambda *xs: mpmath.fsum(xs), *pieces), pieces
 
     return guarded(compute, precision_bits, 64)

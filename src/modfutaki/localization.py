@@ -5,8 +5,8 @@ x -> x^i * exp(m*t*x) over the eigenvalue multiset, computed in closed form by
 local series expansion at each distinct node (the residue form of the Hermite
 divided difference). Results are exponential polynomials in t. A block of
 mu equal nodes among n costs O(n*mu) products and one division, and
-mixed_integral gathers its coefficients by power i first, so that it makes
-one mul_laurent per divided difference.
+mixed_integral gathers its coefficients by power i first, so that it
+multiplies each divided difference once.
 
 The numeric pipeline evaluates divided differences through the bidiagonal
 node-matrix representation (nodes on the diagonal, ones above it; the divided
@@ -32,7 +32,7 @@ from math import comb, factorial
 
 import mpmath
 
-from .exactalg import Dual, ExpPoly, LaurentPoly, _to_mpf, primal
+from .exactalg import Dual, ExpPoly, LaurentPoly, _to_mpf, primal, slotwise
 from .geometry import validate
 
 
@@ -124,9 +124,9 @@ def i0l_symbolic(ambient_dim, m, eigenvalues, l):
     if l < 0:
         raise ValueError("the moment order l must be nonnegative")
     dds = _dd_pow_exp_all(l, m, eigenvalues)
-    return sum((dds[i].mul_laurent(LaurentPoly.t_power(
-        i - ambient_dim, _moment_coefficient(ambient_dim, m, l, i)))
-        for i in range(l + 1)), ExpPoly.zero())
+    return sum((dds[i] * LaurentPoly.t_power(
+        i - ambient_dim, _moment_coefficient(ambient_dim, m, l, i))
+        for i in range(l + 1)), ExpPoly())
 
 
 def _mag(x):
@@ -134,20 +134,6 @@ def _mag(x):
     if isinstance(x, Dual):
         return _mag(x.value) + _mag(x.derivative)
     return abs(x)
-
-
-def _fixed(x, shift):
-    """x * 2^shift as an int, truncated, slot by slot for Duals of any depth."""
-    if isinstance(x, Dual):
-        return Dual(_fixed(x.value, shift), _fixed(x.derivative, shift))
-    return int(mpmath.ldexp(x, shift))
-
-
-def _unfixed(x, shift):
-    """The mpf x * 2^-shift of an int x, slot by slot for Duals of any depth."""
-    if isinstance(x, Dual):
-        return Dual(_unfixed(x.value, shift), _unfixed(x.derivative, shift))
-    return mpmath.ldexp(x, -shift)
 
 
 def _expm_last_column(diag, sup, precision_bits):
@@ -204,8 +190,12 @@ def _expm_last_column(diag, sup, precision_bits):
     # ceil(log2((n-1)!)), and floor(log2|sup|) is frexp's exponent less one
     word = (precision_bits + sigma + (factorial(n - 1) - 1).bit_length()
             + (n - 1) * max(0, sigma - mpmath.frexp(sup)[1] + 1) + 16)
-    diag = [_fixed(d, word - sigma) for d in diag]
-    sup = _fixed(sup, word - sigma)
+
+    def fixed(x):  # x * 2^(word - sigma), truncated to an int
+        return int(mpmath.ldexp(x, word - sigma))
+
+    diag = [slotwise(fixed, d) for d in diag]
+    sup = slotwise(fixed, sup)
     one, twice = 1 << word, 2 * word
 
     out = [[one] + [0] * (n - 1 - i) for i in range(n)]
@@ -228,7 +218,7 @@ def _expm_last_column(diag, sup, precision_bits):
         column = [square_entry(out, i, n - 1) for i in range(n)]
     else:
         column = [row[-1] for row in out]
-    return [_unfixed(c, word) for c in column]
+    return [slotwise(lambda x: mpmath.ldexp(x, -word), c) for c in column]
 
 
 def _dd_numeric_multi(max_power, m, nodes, precision_bits):
@@ -310,7 +300,8 @@ def _integrand(ci, field, k, direction=None):
     else:
         alphas = [LaurentPoly.t_power(1, Dual(a, b))
                   for a, b in zip(weights, direction.weights)]
-    return expand_equivariant_product(ci.degrees[:k], alphas, LaurentPoly.one())
+    return expand_equivariant_product(ci.degrees[:k], alphas,
+                                      LaurentPoly.const(Fraction(1)))
 
 
 def mixed_integral(ci, field, k, direction=None):
@@ -330,16 +321,16 @@ def mixed_integral(ci, field, k, direction=None):
     max_l = max(l for (_, l) in coeffs)
     tangents = None if direction is None else direction.eigenvalues
     dds = _dd_pow_exp_all(max_l, m, field.eigenvalues, tangents)
-    sums = [LaurentPoly.zero() for _ in range(max_l + 1)]
+    sums = [LaurentPoly() for _ in range(max_l + 1)]
     for (j, l), c in coeffs.items():
         kappa = Fraction(m ** (k - j) * factorial(n - k), factorial(n - j) * m ** l)
-        sums[l] = sums[l] + c.scale(kappa)
-    total = ExpPoly.zero()
+        sums[l] = sums[l] + c * kappa
+    total = ExpPoly()
     for i in range(max_l + 1):
-        fold = LaurentPoly.zero()
+        fold = LaurentPoly()
         for l in range(i, max_l + 1):
-            fold = fold + sums[l].scale(_moment_coefficient(n, m, l, i))
-        total = total + dds[i].mul_laurent(fold * LaurentPoly.t_power(i - n))
+            fold = fold + sums[l] * _moment_coefficient(n, m, l, i)
+        total = total + dds[i] * (fold * LaurentPoly.t_power(i - n))
     return total
 
 
@@ -360,10 +351,8 @@ def recursion_step(ci, field, k, prev):
     """
     n, m = ci.ambient_dim, ci.fano_index
     d_k, a_k = ci.degrees[k - 1], field.weights[k - 1]
-    return prev.mul_laurent(LaurentPoly(
-        {0: Fraction(d_k), 1: -Fraction(m) * a_k / (n - k + 1)})) \
-        + prev.t_derivative().mul_laurent(
-            LaurentPoly.t_power(1, Fraction(d_k, n - k + 1)))
+    return prev * LaurentPoly({0: Fraction(d_k), 1: -Fraction(m) * a_k / (n - k + 1)}) \
+        + prev.t_derivative() * LaurentPoly.t_power(1, Fraction(d_k, n - k + 1))
 
 
 @dataclass(frozen=True)

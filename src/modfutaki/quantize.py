@@ -71,11 +71,22 @@ def complete_homogeneous_all(values, max_degree):
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """F_k at level k, and F_k/(k N_k) against the reference value of F."""
+
     k: int
     nk: int
+    fk: object
     ratio: object
     reference: object
     error: object
+
+    @classmethod
+    def at_level(cls, ci, k, level_value, reference, precision_bits):
+        """The row of F_k = level_value; ratio and error carry 32 guard bits."""
+        dim = nk(ci, k)
+        with mpmath.workprec(precision_bits + 32):
+            ratio = level_value / (k * dim)
+            return cls(k, dim, level_value, ratio, reference, abs(ratio - reference))
 
 
 def fk(ci, field, k, t, precision_bits=DEFAULT_PRECISION_BITS):
@@ -125,12 +136,6 @@ def convergence_report(ci, field, t, k_list, precision_bits=DEFAULT_PRECISION_BI
     validate(ci, field)
     t = Fraction(t)
     reference = f_function(ci, field).evaluate(t, precision_bits)
-    rows = []
-    for k in k_list:
-        dim = nk(ci, k)
-        with mpmath.workprec(precision_bits + _TRACE_GUARD_BITS):
-            ratio = fk(ci, field, k, t, precision_bits) / (k * dim)
-            error = abs(ratio - reference)
-        rows.append(ConvergenceRow(k=k, nk=dim, ratio=ratio,
-                                   reference=reference, error=error))
-    return rows
+    return [ConvergenceRow.at_level(ci, k, fk(ci, field, k, t, precision_bits),
+                                    reference, precision_bits)
+            for k in k_list]

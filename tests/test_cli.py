@@ -1,11 +1,14 @@
 """Command-line contract: schemas, round trips, determinism, exit codes."""
 
 import json
+import random
+import sys
+import time
 
 import mpmath
 import pytest
 
-from modfutaki import ConvergenceRow, ExpPoly, cli, exactalg, soliton
+from modfutaki import ConvergenceRow, ExpPoly, cli, exactalg, quantize, soliton
 from modfutaki.cli import main
 
 from conftest import CUBIC_F
@@ -116,7 +119,7 @@ class TestDerivative:
         assert code == 0
         doc = json.loads(out)
         from modfutaki import LaurentPoly
-        expected = CUBIC_F.t_derivative().mul_laurent(LaurentPoly.t_power(1))
+        expected = CUBIC_F.t_derivative() * LaurentPoly.t_power(1)
         assert ExpPoly.parse(doc["expression"]) == expected
 
     def test_zero_direction(self, cubic_path, capsys):
@@ -217,7 +220,7 @@ class TestVerify:
     def test_offset_ladder_fails(self, cubic_path, capsys, monkeypatch):
         # a constant error doubles k |error| at each level: no convergence
         def offset_ladder(ci, field, t, k_list, precision_bits):
-            return [ConvergenceRow(k=k, nk=1, ratio=None, reference=None,
+            return [ConvergenceRow(k=k, nk=1, fk=None, ratio=None, reference=None,
                                    error=mpmath.mpf("1e-3")) for k in k_list]
 
         monkeypatch.setattr(cli, "convergence_report", offset_ladder)
@@ -345,7 +348,7 @@ class TestLimits:
         assert json.loads(out)["iterations"] == 6
 
     def test_k_above_limit(self, cubic_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "nk", refuse_work)
+        monkeypatch.setattr(quantize, "nk", refuse_work)
         monkeypatch.setattr(cli, "fk", refuse_work)
         code, out = run(capsys, "--format", "json", "quantize", cubic_path,
                         "--k", "100000")
@@ -429,3 +432,104 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage: modfutaki [-h]")
         assert err.endswith("modfutaki: error: unrecognized arguments: --numeric\n")
+
+
+def plane_doc(eigenvalues):
+    """A hyperplane in P^(n-1) without supports, so the weight is given."""
+    return {"ambient_dim": len(eigenvalues) - 1, "degrees": [1],
+            "eigenvalues": eigenvalues, "weights": ["0"]}
+
+
+class TestOversizedNumbers:
+    """Every number past the digit limit exits 2 before any work, and exact
+    results print at any size."""
+
+    @pytest.fixture
+    def refuse(self, monkeypatch):
+        for name in ("f_function", "fut_derivative", "admissible_torus"):
+            monkeypatch.setattr(cli, name, refuse_work)
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        return str(path)
+
+    def expect_refused(self, capsys, *argv):
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, "--format", "json", *argv)
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_check_eigenvalue_1e5000(self, tmp_path, capsys, refuse):
+        doc = {**plane_doc(["1e5000", "-1e5000", "0", "0"]), "degrees": [3]}
+        self.expect_refused(capsys, "check", self.write(tmp_path, json.dumps(doc)))
+
+    def test_eval_eigenvalue_1e4000(self, tmp_path, capsys, refuse):
+        doc = {**plane_doc(["1e4000", "-1e4000", "0", "0"]), "degrees": [3]}
+        self.expect_refused(capsys, "eval", self.write(tmp_path, json.dumps(doc)),
+                            "--t", "1")
+
+    def test_eval_eigenvalue_1e200000_is_instant(self, tmp_path, capsys, refuse):
+        doc = {**plane_doc(["1e200000", "-1e200000", "0", "0"]), "degrees": [3]}
+        start = time.perf_counter()
+        self.expect_refused(capsys, "eval", self.write(tmp_path, json.dumps(doc)),
+                            "--t", "1")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("t", ["1e100000", "1e100000000", "1/" + "7" * 101,
+                                   "0e99999999", "1e-101"],
+                             ids=["1e100000", "1e100000000", "1/7...7",
+                                  "0e99999999", "1e-101"])
+    def test_eval_t_past_the_limit(self, cubic_path, capsys, t):
+        self.expect_refused(capsys, "eval", cubic_path, "--t", t)
+
+    def test_digit_limit_is_inclusive(self, tmp_path, capsys):
+        top = "9" * cli.MAX_RATIONAL_DIGITS
+        for x in (top, f"1/{top}", f"{top}e0", f"0.{top[1:]}"):
+            path = self.write(tmp_path, json.dumps(plane_doc([x, "-" + x, "0"])))
+            code, _ = run(capsys, "check", path)
+            assert code == 0, x
+        for x in (top + "9", f"1/{top}9", f"{top}e1", f"0.{top}"):
+            path = self.write(tmp_path, json.dumps(plane_doc([x, "-" + x, "0"])))
+            self.expect_refused(capsys, "check", path)
+
+    def test_json_integer_of_5001_digits(self, tmp_path, capsys, refuse):
+        text = ('{"ambient_dim": 3, "degrees": [3], "weights": ["0"], '
+                f'"eigenvalues": [{"1" * 5001}, 0, 0, 0]}}')
+        self.expect_refused(capsys, "check", self.write(tmp_path, text))
+
+    def test_direction_integer_of_5001_digits(self, cubic_path, capsys, refuse):
+        direction = f'{{"eigenvalues": [{"1" * 5001}, 0, 0, 0]}}'
+        self.expect_refused(capsys, "derivative", cubic_path,
+                            "--direction", direction)
+
+    def test_200_digit_integer_eigenvalues_are_refused(self, tmp_path, capsys,
+                                                        refuse):
+        big = [str(10 ** 199 + k) for k in range(12)]
+        doc = plane_doc(big + ["-" + x for x in big] + ["0"])
+        self.expect_refused(capsys, "eval", self.write(tmp_path, json.dumps(doc)),
+                            "--t", "1/3")
+
+    def test_exact_result_past_4300_digits_prints(self, tmp_path, capsys):
+        # 100-digit numerators and denominators at N = 24: the coefficients of
+        # F have about 4500 digits
+        rng = random.Random(5)
+        half = [f"{rng.randrange(10 ** 99, 10 ** 100)}/"
+                f"{rng.randrange(10 ** 99, 10 ** 100)}" for _ in range(12)]
+        doc = plane_doc(half + ["-" + x for x in half] + ["0"])
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, "--format", "json", "eval",
+                        self.write(tmp_path, json.dumps(doc)), "--t", "1/3")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(out)
+        longest = max(len(c) for term in payload["terms"]
+                      for c in term["coefficients"].values())
+        assert longest > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            parsed = ExpPoly.parse(payload["expression"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert parsed.limit_at_zero() == -1

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from modfutaki import (Dual, EvalAtPole, ExpPoly, ExpPolyParseError,
                        LaurentPoly, PoleAtZero)
+from modfutaki.exactalg import scalar_exp, slotwise
 
 from conftest import CUBIC_F, CUBIC_I00, CUBIC_I01
 
@@ -20,11 +21,11 @@ def expterm(mu, terms):
 class TestCanonicalForm:
     def test_zero_plus_p_is_p(self):
         p = expterm(2, {0: 3, -1: F(1, 2)})
-        assert ExpPoly.zero() + p == p
+        assert ExpPoly() + p == p
 
     def test_cancellation_to_canonical_zero(self):
         p = expterm(2, {0: 1}) + expterm(2, {0: -1})
-        assert p == ExpPoly.zero()
+        assert p == ExpPoly()
         assert p.terms == {}
 
     def test_disjoint_frequencies(self):
@@ -50,14 +51,43 @@ class TestArithmetic:
 
     def test_absorbing_zero(self):
         p = expterm(3, {-2: 5}) + expterm(0, {0: 1})
-        assert p * ExpPoly.zero() == ExpPoly.zero()
+        assert p * ExpPoly() == ExpPoly()
+
+    def test_scalar_coefficient_is_the_constant_laurent_poly(self):
+        mu = F(-3, 4)
+        for c in (F(5, 2), 7, Dual(F(1), F(2))):
+            assert ExpPoly({mu: c}) == ExpPoly.exponential(mu, c)
+            assert ExpPoly({mu: c}).terms[mu] == LaurentPoly.const(c)
+        assert ExpPoly({mu: F(0)}).is_zero()
+
+    def test_laurent_times_exp_poly_is_the_reverse_product(self):
+        lp = LaurentPoly({-1: F(2), 3: F(-1, 5)})
+        p = expterm(2, {0: 3, -1: F(1, 2)}) + expterm(F(-1, 3), {2: 1})
+        try:
+            product = lp * p
+        except TypeError:
+            return
+        assert type(product) is ExpPoly
+        assert product == p * lp
+
+    def test_scalar_factors_multiply_every_coefficient(self):
+        p = expterm(2, {0: 3, -1: F(1, 2)})
+        assert p * F(2) == F(2) * p == expterm(2, {0: 6, -1: 1})
+        assert p * LaurentPoly.t_power(1) == expterm(2, {1: 3, 0: F(1, 2)})
+        assert LaurentPoly.const(F(3)) * F(1, 3) == LaurentPoly.const(F(1))
+
+    def test_maps_of_different_types_neither_add_nor_compare(self):
+        lp, p = LaurentPoly.const(F(1)), ExpPoly.const(1)
+        assert lp != p
+        with pytest.raises(TypeError):
+            lp + p
 
 
 class TestDerivative:
     def test_exponential_rule(self):
         mu = F(5, 7)
         p = ExpPoly.exponential(mu)
-        assert p.t_derivative() == p.mul_scalar(mu)
+        assert p.t_derivative() == p * mu
 
     def test_product_rule(self):
         p = ExpPoly({F(5): LaurentPoly({-3: F(1)})})
@@ -65,7 +95,7 @@ class TestDerivative:
         assert p.t_derivative() == expected
 
     def test_scaling_derivative_connects_moments(self):
-        got = CUBIC_I00.t_derivative().mul_laurent(LaurentPoly.t_power(1))
+        got = CUBIC_I00.t_derivative() * LaurentPoly.t_power(1)
         assert got == CUBIC_I01
 
 
@@ -113,7 +143,7 @@ class TestEvaluate:
             assert abs(v - mpmath.e) < mpmath.mpf(2) ** -125
 
     def test_zero_everywhere(self):
-        assert ExpPoly.zero().evaluate(F(3, 7), 64) == 0
+        assert ExpPoly().evaluate(F(3, 7), 64) == 0
 
     def test_golden_f_quarter(self):
         v = CUBIC_F.evaluate(F(1, 4), 256)
@@ -143,13 +173,31 @@ class TestDual:
 
     def test_exp(self):
         with mpmath.workprec(100):
-            d = Dual(mpmath.mpf(1), mpmath.mpf(2)).exp()
+            d = scalar_exp(Dual(mpmath.mpf(1), mpmath.mpf(2)))
             assert abs(d.value - mpmath.e) < mpmath.mpf(2) ** -90
             assert abs(d.derivative - 2 * mpmath.e) < mpmath.mpf(2) ** -88
 
     def test_plain_comparison(self):
         assert Dual(F(3), F(0)) == F(3)
         assert Dual(F(3), F(1)) != F(3)
+
+    def test_slotwise_walks_nested_slots(self):
+        x = Dual(Dual(F(1), F(2)), Dual(F(3), F(4)))
+        y = Dual(Dual(F(10), F(20)), Dual(F(30), F(40)))
+        assert slotwise(lambda a, b: a + 2 * b, x, y) == \
+            Dual(Dual(F(21), F(42)), Dual(F(63), F(84)))
+        assert slotwise(abs, F(-3)) == F(3)
+
+    def test_exp_of_nested_duals(self):
+        # exp(x + u eps1 + v eps2) = e^x (1 + u eps1 + v eps2 + u v eps1 eps2)
+        with mpmath.workprec(100):
+            x = mpmath.mpf(1)
+            d = scalar_exp(Dual(Dual(x, mpmath.mpf(2)), Dual(mpmath.mpf(3), 0)))
+            e = mpmath.e
+            for got, want in ((d.value.value, e), (d.value.derivative, 2 * e),
+                              (d.derivative.value, 3 * e),
+                              (d.derivative.derivative, 6 * e)):
+                assert abs(got - want) < mpmath.mpf(2) ** -90
 
     def test_shift_floors_every_slot(self):
         x = Dual(Dual(13, -13), Dual(-1, 1024))
@@ -249,8 +297,8 @@ class TestGrammar:
         assert ExpPoly.parse(text) == CUBIC_F
 
     def test_zero_roundtrip(self):
-        assert ExpPoly.zero().to_string() == "0"
-        assert ExpPoly.parse("0") == ExpPoly.zero()
+        assert ExpPoly().to_string() == "0"
+        assert ExpPoly.parse("0") == ExpPoly()
 
     def test_fractional_frequency(self):
         p = ExpPoly.exponential(F(-3, 2), LaurentPoly({2: F(5, 3)}))

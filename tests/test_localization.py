@@ -46,7 +46,7 @@ class TestZeroField:
         lam = (F(0),) * (n + 1)
         assert i0l_symbolic(n, m, lam, 0) == ExpPoly.const(1)
         for l in (1, 2, 3):
-            assert i0l_symbolic(n, m, lam, l) == ExpPoly.zero()
+            assert i0l_symbolic(n, m, lam, l) == ExpPoly()
 
 
 class TestConfluentClosedForm:
@@ -97,7 +97,7 @@ class TestMomentIdentities:
                 derived = base
                 for _ in range(l):
                     derived = derived.t_derivative()
-                derived = derived.mul_laurent(LaurentPoly.t_power(l))
+                derived = derived * LaurentPoly.t_power(l)
                 assert i0l_symbolic(n, m, lam, l) == derived
 
     def test_scaling_covariance(self):
@@ -134,7 +134,7 @@ class TestNumeric:
 
     def test_matches_symbolic_at_one(self):
         sym = i0l_symbolic(3, 1, CUBIC_FIELD.eigenvalues, 0)
-        scaled = sym.mul_laurent(LaurentPoly.t_power(3, F(1, 6)))
+        scaled = sym * LaurentPoly.t_power(3, F(1, 6))
         num = _dd_numeric_multi(0, 1, [-7, 5, 1, 1], 256 + 64)[0]
         assert abs(num - scaled.evaluate(1, 256)) < mpmath.mpf(2) ** -240
 
@@ -187,7 +187,7 @@ class TestExactKernel:
                 nodes.append(x)
         dds = _dd_pow_exp_all(3, m, nodes)
         for l in range(4):
-            lagrange = ExpPoly.zero()
+            lagrange = ExpPoly()
             for j, x in enumerate(nodes):
                 denom = F(1)
                 for k, y in enumerate(nodes):
@@ -216,7 +216,7 @@ class TestExactKernel:
         nodes = repeated_nodes(rng, n)
         full, tail = _dd_pow_exp_all(3, m, nodes), _dd_pow_exp_all(2, m, nodes[1:])
         for i in range(1, 4):
-            assert full[i] == full[i - 1].mul_scalar(nodes[0]) + tail[i - 1], (nodes, i)
+            assert full[i] == full[i - 1] * nodes[0] + tail[i - 1], (nodes, i)
 
 
 def moments_by_l(n, m, eigenvalues, max_l, tangents=None):
@@ -224,10 +224,10 @@ def moments_by_l(n, m, eigenvalues, max_l, tangents=None):
     dds = _dd_pow_exp_all(max_l, m, eigenvalues, tangents)
     out = []
     for l in range(max_l + 1):
-        total = ExpPoly.zero()
+        total = ExpPoly()
         for i in range(l + 1):
-            total = total + dds[i].mul_laurent(
-                LaurentPoly.t_power(i - n, _moment_coefficient(n, m, l, i)))
+            total = total + dds[i] * LaurentPoly.t_power(
+                i - n, _moment_coefficient(n, m, l, i))
         out.append(total)
     return out
 
@@ -259,11 +259,11 @@ class TestMixedIntegralAssembly:
                 if along is None:
                     assert moments == [i0l_symbolic(n, m, field.eigenvalues, l)
                                        for l in range(max_l + 1)]
-                expected = ExpPoly.zero()
+                expected = ExpPoly()
                 for (j, l), c in coeffs.items():
                     kappa = F(m ** (k - j) * factorial(n - k),
                               factorial(n - j) * m ** l)
-                    expected = expected + moments[l].mul_laurent(c).mul_scalar(kappa)
+                    expected = expected + moments[l] * c * kappa
                 assert mixed_integral(ci, field, k, along) == expected, (k, along)
 
 
@@ -409,11 +409,11 @@ def exp_dd_slots(m, nodes, u, v):
     """
     value, d_u = _dd_pow_exp_all(0, m, nodes, u)[0].dual_parts()
     d_v = _dd_pow_exp_all(0, m, nodes, v)[0].dual_parts()[1]
-    d_uv = ExpPoly.zero()
+    d_uv = ExpPoly()
     for j, b in enumerate(v):
         if b:
             extended = _dd_pow_exp_all(0, m, nodes + [nodes[j]], u + [u[j]])[0]
-            d_uv = d_uv + extended.dual_parts()[1].mul_scalar(F(b))
+            d_uv = d_uv + extended.dual_parts()[1] * F(b)
     return value, d_u, d_v, d_uv
 
 
@@ -457,7 +457,7 @@ class TestIntersectionLevels:
     def test_top_level_gives_functional(self):
         # F = -exp(sum a t) I_s / (d_1..d_s) for the cubic
         top = ik0_symbolic(CUBIC, CUBIC_FIELD, 1)
-        f = top.shift_frequency(F(3)).mul_scalar(F(-1, 3))
+        f = top.shift_frequency(F(3)) * F(-1, 3)
         from conftest import CUBIC_F
         assert f == CUBIC_F
 

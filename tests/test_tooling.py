@@ -1,17 +1,20 @@
 """The benchmark's tracer binds names that the package must keep providing,
-and the package exports exactly what it imports."""
+the package exports exactly what it imports, and the README's examples run."""
 
 import ast
 import dis
 import importlib
 import importlib.util
 import inspect
+import re
 import types
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+README = ROOT / "README.md"
 
 
 def load_bindings():
@@ -64,3 +67,19 @@ def test_package_exports_resolve():
     namespace = {}
     exec("from modfutaki import *", namespace)
     assert all(name in namespace for name in names)
+
+
+def readme_python_blocks():
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.S | re.M)
+
+
+def test_readme_has_python_examples():
+    assert readme_python_blocks()
+
+
+@pytest.mark.parametrize("source", readme_python_blocks(),
+                         ids=lambda source: source.splitlines()[0])
+def test_readme_python_block_runs(source):
+    # a name deleted from the package must not linger in the docs
+    exec(compile(source, str(README), "exec"), {})
