@@ -16,17 +16,17 @@ Exit codes are a stable contract: 0 ok, 2 input/validation error,
 requested precision after every guard pass, code precision_not_reached),
 4 solver failure, 5 verification failure.
 
-Sizes are bounded so that no input runs without limit: --precision (and
-FUTAKI_PRECISION_BITS) must lie in 64..4096 bits, every rational (an
-eigenvalue, a weight, a direction or --t) may have at most 100 digits in its
-numerator and in its denominator as written, quantize --k must be positive
-with k*m at most 2048, m the Fano index, and soliton --max-iter must lie in
-0..1000 with --tol finite and positive. Anything outside fails with exit 2
-before any computation starts, except that eval and derivative read --t
-after the expression is computed. Exact results print at any size. Usage
-errors (an unknown option, a non-integer --k or FUTAKI_PRECISION_BITS) exit
-2 as well; under --format json they print the same error document as every
-other invalid input.
+Sizes are bounded so that no input runs without limit: ambient_dim must be
+at most 64, --precision (and FUTAKI_PRECISION_BITS) must lie in 64..4096
+bits, every rational (an eigenvalue, a weight, a direction or --t) may have
+at most 100 digits in its numerator and in its denominator as written,
+quantize --k must be positive with k*m at most 2048, m the Fano index, and
+soliton --max-iter must lie in 0..1000 with --tol finite and positive.
+Anything outside fails with exit 2 before any computation starts, except
+that eval and derivative read --t after the expression is computed. Exact
+results print at any size. Usage errors (an unknown option, a non-integer
+--k or FUTAKI_PRECISION_BITS) exit 2 as well; under --format json they print
+the same error document as every other invalid input.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ EXIT_VERIFY = 5
 
 MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 4096
+MAX_AMBIENT_DIM = 64
 MAX_RATIONAL_DIGITS = 100
 MAX_NEWTON_ITERATIONS = 1000
 MAX_QUANTIZE_DEGREE = 2048
@@ -131,6 +132,9 @@ def load_input(doc):
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"malformed geometry fields: {exc}") from exc
+    if ci.ambient_dim > MAX_AMBIENT_DIM:
+        raise ValidationError(f"ambient_dim must be at most {MAX_AMBIENT_DIM}, "
+                              f"got {ci.ambient_dim}")
 
     raw_eigen = doc.get("eigenvalues")
     if raw_eigen is None:

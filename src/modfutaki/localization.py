@@ -3,10 +3,11 @@
 The exact pipeline reduces every integral to confluent divided differences of
 x -> x^i * exp(m*t*x) over the eigenvalue multiset, computed in closed form by
 local series expansion at each distinct node (the residue form of the Hermite
-divided difference). Results are exponential polynomials in t. A block of
-mu equal nodes among n costs O(n*mu) products and one division, and
-mixed_integral gathers its coefficients by power i first, so that it
-multiplies each divided difference once.
+divided difference). Results are exponential polynomials in t. The series
+run on ints over one denominator per block (fraction-free, as in Bareiss):
+a block of mu equal nodes among n costs O(n*mu) integer products and one
+Fraction per output slot. mixed_integral gathers its coefficients by power i
+first, so that it multiplies each divided difference once.
 
 The numeric pipeline evaluates divided differences through the bidiagonal
 node-matrix representation (nodes on the diagonal, ones above it; the divided
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 import mpmath
 
@@ -45,10 +46,20 @@ def _dd_pow_exp_all(max_power, m, nodes, tangents=None):
     nodes only the sum of the tangents enters (eps^2 = 0), so directions that
     split a repeated eigenvalue are differentiated exactly.
 
-    A block at r contributes the residue of x^i e^(m t x) / prod_j (x - x_j)
-    at r, read from series in u = x - r to the block's order: O(n * order)
-    products and no division build P(u) = prod of (u + r - x_j) over the
-    nodes outside the block, and 1/P takes one division per block.
+    A block of mu nodes at r = R/d contributes the residue of x^i e^(m t x) /
+    prod_j (x - x_j) at r, read from series in u = x - r to the block's
+    order. The series run on ints. With U = d u and l_j = lcm(d, b_j) for a
+    node x_j = X_j/b_j outside the block, each factor u + r - x_j is
+    (c_j U + a_j)/l_j with c_j = l_j/d, and O(n * order) products build
+    Q(U) = prod (c_j U + a_j) = L P(u), L = prod l_j. A tangent t_j = T_j/E,
+    E the lcm of the tangent denominators, enters a_j as the Dual (a_j,
+    -l_j T_j), whose eps slot stands for itself over E. 1/Q is the sum of
+    h_w U^w / Q_0^(w+1), where h_0 = 1 and h_w = -sum_(i>=1) Q_i h_(w-i)
+    Q_0^(i-1), and each factor x = (R + U)/d of x^i is a step h <- h (R + U).
+    After i steps, with every h_w over Q_0^(order+1), the coefficient of u^w
+    is h_w L d^(w-i) / Q_0^(order+1): one Fraction per output slot. Each
+    factor is scaled by its own denominators only: one scale for all nodes
+    would put its (n - mu)-th power into every int.
     """
     nodes = [Fraction(x) for x in nodes]
     dual = tangents is not None
@@ -56,43 +67,58 @@ def _dd_pow_exp_all(max_power, m, nodes, tangents=None):
         tangents = [Fraction(x) for x in tangents]
         if len(tangents) != len(nodes):
             raise ValueError("one tangent per node is required")
+        tscale = lcm(*(x.denominator for x in tangents))
+        ts = [x.numerator * (tscale // x.denominator) for x in tangents]
 
     blocks = {}
-    for idx, r in enumerate(nodes):
-        blocks.setdefault(r, []).append(idx)
+    for idx, x in enumerate(nodes):
+        blocks.setdefault(x, []).append(idx)
 
     results = [dict() for _ in range(max_power + 1)]
     for r in sorted(blocks):
         idxs = blocks[r]
         mult = len(idxs)
-        tangent_sum = sum(tangents[i] for i in idxs) if dual else Fraction(0)
         order = mult if dual else mult - 1
+        rn, d = r.numerator, r.denominator
 
-        # P(u); the tangent of x_j enters as -eps in r - x_j
-        p = [Fraction(1)] + [Fraction(0)] * order
+        q = [Dual(1, 0) if dual else 1] + [0] * order
+        scale = 1  # L
         for j, x in enumerate(nodes):
             if x != r:
-                c = Dual(r - x, -tangents[j]) if dual else r - x
-                p = [p[0] * c] + [p[w] * c + p[w - 1] for w in range(1, order + 1)]
-        # g = 1/P: g_0 = 1/P_0, g_w = -(P_1 g_(w-1) + .. + P_w g_0) g_0
-        g0 = 1 / p[0]
-        g = [g0]
+                g = gcd(d, x.denominator)
+                c, l = x.denominator // g, d * x.denominator // g
+                a = rn * c - x.numerator * (d // g)
+                a = Dual(a, -l * ts[j]) if dual else a
+                q = [q[0] * a] + [q[w] * a + q[w - 1] * c for w in range(1, order + 1)]
+                scale *= l
+        q0_pow = [1]
+        for _ in range(order + 1):
+            q0_pow.append(q0_pow[-1] * q[0])
+        h = [1]
         for w in range(1, order + 1):
-            acc = p[1] * g[w - 1]
-            for i in range(2, w + 1):
-                acc = acc + p[i] * g[w - i]
-            g.append(-acc * g0)
+            h.append(-sum(q[i] * h[w - i] * q0_pow[i - 1] for i in range(1, w + 1)))
+        # every h_w over the common denominator Q_0^(order+1)
+        h = [hw * q0_pow[order - w] for w, hw in enumerate(h)]
+        den = primal(q0_pow[order + 1])
 
         freq = Fraction(m) * r
+        tangent_sum = sum(ts[k] for k in idxs) if dual else 0
         for i in range(max_power + 1):
-            if i:  # g <- g * (r + u), one more factor x of x^i
-                g = [g[0] * r] + [g[w] * r + g[w - 1] for w in range(1, order + 1)]
+            if i:  # h <- h * (R + U), one more factor x of x^i
+                h = [h[0] * rn] + [h[w] * rn + h[w - 1] for w in range(1, order + 1)]
             coeffs = {}
             for j in range(order + 1):
-                c = g[mult - 1 - j] if j < mult else Fraction(0)
-                if dual:
-                    c = c + Dual(0, tangent_sum * primal(g[mult - j]))
-                coeffs[j] = c * Fraction(m ** j, factorial(j))
+                p = mult - 1 - i - j  # u^(mu-1-j) is scaled by L d^p m^j / j!
+                top = scale * m ** j * d ** max(p, 0)
+                bottom = den * factorial(j) * d ** max(-p, 0)
+                num = h[mult - 1 - j] if j < mult else 0
+                if dual:  # num / Q_0^(order+1), the block's tangents added to num
+                    a = num + Dual(0, tangent_sum * d * primal(h[mult - j]))
+                    v, s = q[0].value, (order + 1) * q[0].derivative
+                    coeffs[j] = Dual(Fraction(a.value * top, bottom), Fraction(
+                        (a.derivative * v - a.value * s) * top, bottom * v * tscale))
+                else:
+                    coeffs[j] = Fraction(num * top, bottom)
             results[i][freq] = LaurentPoly(coeffs)
     return [ExpPoly(res) for res in results]
 

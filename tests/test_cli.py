@@ -370,6 +370,31 @@ class TestLimits:
         assert code == 2
         assert error_code(out) == "invalid_input"
 
+    @pytest.mark.parametrize("ambient_dim", [
+        cli.MAX_AMBIENT_DIM + 1, 30000000, 1000000000000000, "30000000"],
+        ids=repr)
+    def test_ambient_dim_above_limit(self, tmp_path, capsys, monkeypatch,
+                                     ambient_dim):
+        # refused before the N + 1 default eigenvalues are built
+        monkeypatch.setattr(cli, "DiagonalField", refuse_work)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"ambient_dim": ambient_dim,
+                                    "degrees": [1]}))
+        code, out = run(capsys, "--format", "json", "check", str(path))
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+        assert "ambient_dim" in json.loads(out)["error"]["message"]
+
+    def test_ambient_dim_at_limit(self, tmp_path, capsys):
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps({"ambient_dim": cli.MAX_AMBIENT_DIM,
+                                    "degrees": [1]}))
+        code, out = run(capsys, "--format", "json", "check", str(path))
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        assert meta["ambient_dim"] == 64 == cli.MAX_AMBIENT_DIM
+        assert len(meta["eigenvalues"]) == 65
+
 
 class TestNegativeT:
     # argparse takes -3/7 for an option unless main joins it to --t

@@ -1,6 +1,7 @@
 """Fixed-point integrals: exact residue form, numeric bidiagonal form, recursion."""
 
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 from math import factorial
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
                        LaurentPoly, i0l_symbolic, ik0_symbolic,
                        verify_recursion)
-from modfutaki.exactalg import Dual, PrecisionNotReached, _to_mpf
+from modfutaki.exactalg import Dual, PrecisionNotReached, _to_mpf, primal
 from modfutaki.futaki import f_numeric
 from modfutaki.localization import (_dd_numeric_multi, _dd_pow_exp_all,
                                     _integrand, _moment_coefficient,
@@ -448,6 +449,146 @@ class TestKernelProperties:
             assert abs(g - at_one(want, bits)) \
                 <= mpmath.mpf(2) ** -(bits - 16) * at_one(size, bits), \
                 (nodes, m, bits, u, v)
+
+
+# The exact kernel as it stood on Fraction arithmetic, kept verbatim as an
+# oracle for the integer kernel: every product normalizes a Fraction, and
+# 1/P takes one division per block.
+def fraction_kernel(max_power, m, nodes, tangents=None):
+    """Divided differences DD(x^i * exp(m*t*x); nodes) for i = 0..max_power.
+
+    Each value is an ExpPoly in t with frequencies m*r over the distinct node
+    values r. With `tangents`, first-order node perturbations are carried
+    through and the results have Dual coefficients; within a block of equal
+    nodes only the sum of the tangents enters (eps^2 = 0), so directions that
+    split a repeated eigenvalue are differentiated exactly.
+
+    A block at r contributes the residue of x^i e^(m t x) / prod_j (x - x_j)
+    at r, read from series in u = x - r to the block's order: O(n * order)
+    products and no division build P(u) = prod of (u + r - x_j) over the
+    nodes outside the block, and 1/P takes one division per block.
+    """
+    nodes = [Fraction(x) for x in nodes]
+    dual = tangents is not None
+    if dual:
+        tangents = [Fraction(x) for x in tangents]
+        if len(tangents) != len(nodes):
+            raise ValueError("one tangent per node is required")
+
+    blocks = {}
+    for idx, r in enumerate(nodes):
+        blocks.setdefault(r, []).append(idx)
+
+    results = [dict() for _ in range(max_power + 1)]
+    for r in sorted(blocks):
+        idxs = blocks[r]
+        mult = len(idxs)
+        tangent_sum = sum(tangents[i] for i in idxs) if dual else Fraction(0)
+        order = mult if dual else mult - 1
+
+        # P(u); the tangent of x_j enters as -eps in r - x_j
+        p = [Fraction(1)] + [Fraction(0)] * order
+        for j, x in enumerate(nodes):
+            if x != r:
+                c = Dual(r - x, -tangents[j]) if dual else r - x
+                p = [p[0] * c] + [p[w] * c + p[w - 1] for w in range(1, order + 1)]
+        # g = 1/P: g_0 = 1/P_0, g_w = -(P_1 g_(w-1) + .. + P_w g_0) g_0
+        g0 = 1 / p[0]
+        g = [g0]
+        for w in range(1, order + 1):
+            acc = p[1] * g[w - 1]
+            for i in range(2, w + 1):
+                acc = acc + p[i] * g[w - i]
+            g.append(-acc * g0)
+
+        freq = Fraction(m) * r
+        for i in range(max_power + 1):
+            if i:  # g <- g * (r + u), one more factor x of x^i
+                g = [g[0] * r] + [g[w] * r + g[w - 1] for w in range(1, order + 1)]
+            coeffs = {}
+            for j in range(order + 1):
+                c = g[mult - 1 - j] if j < mult else Fraction(0)
+                if dual:
+                    c = c + Dual(0, tangent_sum * primal(g[mult - j]))
+                coeffs[j] = c * Fraction(m ** j, factorial(j))
+            results[i][freq] = LaurentPoly(coeffs)
+    return [ExpPoly(res) for res in results]
+
+
+@st.composite
+def kernel_cases(draw):
+    """Up to 14 nodes in repeated blocks, max_power and tangents for the kernel.
+
+    Node denominators share some factors and not others, so a factor's
+    scale lcm(d, b) is sometimes d, sometimes b and sometimes neither. They
+    are coprime to the odd tangent denominators. Tangents are absent, all
+    zero or drawn.
+    """
+    values = draw(st.lists(st.builds(F, st.integers(-96, 96),
+                                     st.sampled_from([1, 2, 4, 7, 8, 14])),
+                           min_size=1, max_size=5, unique=True))
+    nodes = draw(st.lists(st.sampled_from(values), min_size=1, max_size=14))
+    kind = draw(st.sampled_from(["none", "zero", "drawn"]))
+    if kind == "none":
+        tangents = None
+    elif kind == "zero":
+        tangents = [F(0)] * len(nodes)
+    else:
+        tangents = draw(st.lists(
+            st.builds(F, st.integers(-9, 9), st.sampled_from([1, 3, 5, 9, 15])),
+            min_size=len(nodes), max_size=len(nodes)))
+    return draw(st.integers(0, 4)), draw(st.integers(1, 6)), nodes, tangents
+
+
+def layout(dd):
+    """Frequencies and exponents in term order, with the coefficient types."""
+    return [(mu, [(e, type(c), [type(s) for s in slots(c)])
+                  for e, c in lp.terms.items()])
+            for mu, lp in dd.terms.items()]
+
+
+def assert_same_as_oracle(max_power, m, nodes, tangents):
+    got = _dd_pow_exp_all(max_power, m, nodes, tangents)
+    want = fraction_kernel(max_power, m, nodes, tangents)
+    assert got == want
+    assert [layout(dd) for dd in got] == [layout(dd) for dd in want]
+
+
+class TestIntegerKernelAgainstOracle:
+    @settings(max_examples=300)
+    @given(case=kernel_cases())
+    def test_drawn_cases(self, case):
+        assert_same_as_oracle(*case)
+
+    @pytest.mark.parametrize("tangents", [None, [F(0)] * 5,
+                                          [F(1, 3), F(-2), F(5, 9), F(0), F(7, 5)]])
+    def test_one_block_holds_every_node(self, tangents):
+        # no factor outside the block: d's exponent mu - 1 - i - j goes negative
+        assert_same_as_oracle(4, 3, [F(-3, 4)] * 5, tangents)
+
+    @pytest.mark.parametrize("tangents", [None, [F(0)], [F(2, 7)]])
+    def test_one_node(self, tangents):
+        assert_same_as_oracle(4, 2, [F(5, 3)], tangents)
+
+    @pytest.mark.parametrize("tangents", [None, [F(1, 3), F(-1), F(2, 9), F(4, 5)]])
+    def test_negative_nodes(self, tangents):
+        assert_same_as_oracle(3, 5, [F(-7, 2), F(-1, 8), F(-7, 2), F(-12)],
+                              tangents)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_large_coprime_denominators(self, dual):
+        rng = random.Random(3)
+        big = lambda: rng.randrange(10 ** 29, 10 ** 30)
+        values = [F(big(), big()) for _ in range(6)]
+        nodes = values + [-x for x in values[:3]] + values[:2]
+        tangents = [F(rng.randrange(-10 ** 30, 10 ** 30), rng.randrange(1, 10 ** 30))
+                    for _ in nodes] if dual else None
+        assert_same_as_oracle(3, 2, nodes, tangents)
+
+    def test_golden_varieties(self):
+        for field in (CUBIC_FIELD, QUADRICS_FIELD):
+            assert_same_as_oracle(3, 1, field.eigenvalues, None)
+            assert_same_as_oracle(3, 1, field.eigenvalues, field.eigenvalues)
 
 
 class TestIntersectionLevels:
