@@ -213,9 +213,6 @@ class _TermMap:
         key = self._key
         self.terms = {key(k): c for k, c in terms.items() if c} if terms else {}
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -267,14 +264,6 @@ class LaurentPoly(_TermMap):
     __slots__ = ()
     _key = int
 
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    @classmethod
-    def t_power(cls, e, c=Fraction(1)):
-        return cls({e: c})
-
     def derivative(self):
         """d/dt, term-wise: t^e -> e * t^(e-1)."""
         return LaurentPoly({e - 1: e * c for e, c in self.terms.items() if e != 0})
@@ -287,7 +276,7 @@ class LaurentPoly(_TermMap):
         return LaurentPoly({e: v * c ** e for e, v in self.terms.items()})
 
     def eval_mpf(self, t):
-        """Evaluate at an mpf (or Dual over mpf) value of t."""
+        """Evaluate at an mpf value of t."""
         total = mpmath.mpf(0)
         for e, c in self.terms.items():
             cv = _to_mpf(c) if isinstance(c, Fraction) else c
@@ -324,17 +313,8 @@ class ExpPoly(_TermMap):
 
     def __init__(self, terms=None):
         super().__init__(terms and {
-            mu: c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
+            mu: c if isinstance(c, LaurentPoly) else LaurentPoly({0: c})
             for mu, c in terms.items()})
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: Fraction(c)})
-
-    @classmethod
-    def exponential(cls, mu, coeff=Fraction(1)):
-        """The single term coeff(t) * exp(mu*t)."""
-        return cls({Fraction(mu): coeff})
 
     def shift_frequency(self, delta):
         """Multiply by exp(delta*t): every frequency moves by delta."""

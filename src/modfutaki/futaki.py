@@ -26,20 +26,8 @@ import mpmath
 from .exactalg import (DEFAULT_PRECISION_BITS, Dual, LaurentPoly, _to_mpf,
                        guarded, scalar_exp, slotwise)
 from .geometry import InadmissibleDirection, ValidationError, validate
-from .localization import (_integrand, expand_equivariant_product,
-                           i0l_numeric_all, i0l_symbolic, mixed_integral,
-                           recursion_step)
-
-
-def expand_integrand(ci, field):
-    """Exact expansion of prod_i (d_i*w + d_i*h - a_i*t) by (w-power, h-power).
-
-    Maps (j, l) with j + l <= s to a nonzero Laurent polynomial in t of degree
-    at most s - j - l; the empty product is {(0, 0): 1}.
-    """
-    validate(ci, field)
-    coeffs = _integrand(ci, field, ci.codim)
-    return {key: c for key, c in coeffs.items() if not c.is_zero()}
+from .localization import (expand_equivariant_product, i0l_numeric_all,
+                           i0l_symbolic, mixed_integral, recursion_step)
 
 
 def _normalization(ci):

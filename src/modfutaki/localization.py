@@ -27,7 +27,6 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
@@ -150,8 +149,8 @@ def i0l_symbolic(ambient_dim, m, eigenvalues, l):
     if l < 0:
         raise ValueError("the moment order l must be nonnegative")
     dds = _dd_pow_exp_all(l, m, eigenvalues)
-    return sum((dds[i] * LaurentPoly.t_power(
-        i - ambient_dim, _moment_coefficient(ambient_dim, m, l, i))
+    return sum((dds[i] * LaurentPoly(
+        {i - ambient_dim: _moment_coefficient(ambient_dim, m, l, i)})
         for i in range(l + 1)), ExpPoly())
 
 
@@ -322,12 +321,12 @@ def _integrand(ci, field, k, direction=None):
     """
     weights = field.weights[:k]
     if direction is None:
-        alphas = [LaurentPoly.t_power(1, a) for a in weights]
+        alphas = [LaurentPoly({1: a}) for a in weights]
     else:
-        alphas = [LaurentPoly.t_power(1, Dual(a, b))
+        alphas = [LaurentPoly({1: Dual(a, b)})
                   for a, b in zip(weights, direction.weights)]
     return expand_equivariant_product(ci.degrees[:k], alphas,
-                                      LaurentPoly.const(Fraction(1)))
+                                      LaurentPoly({0: Fraction(1)}))
 
 
 def mixed_integral(ci, field, k, direction=None):
@@ -356,16 +355,8 @@ def mixed_integral(ci, field, k, direction=None):
         fold = LaurentPoly()
         for l in range(i, max_l + 1):
             fold = fold + sums[l] * _moment_coefficient(n, m, l, i)
-        total = total + dds[i] * (fold * LaurentPoly.t_power(i - n))
+        total = total + dds[i] * (fold * LaurentPoly({i - n: Fraction(1)}))
     return total
-
-
-def ik0_symbolic(ci, field, k):
-    """Exact integral of e^(m theta) omega^(N-k) over the k-fold intersection."""
-    validate(ci, field)
-    if not 0 <= k <= ci.codim:
-        raise ValueError(f"k must lie in 0..{ci.codim}, got {k}")
-    return mixed_integral(ci, field, k)
 
 
 def recursion_step(ci, field, k, prev):
@@ -378,30 +369,20 @@ def recursion_step(ci, field, k, prev):
     n, m = ci.ambient_dim, ci.fano_index
     d_k, a_k = ci.degrees[k - 1], field.weights[k - 1]
     return prev * LaurentPoly({0: Fraction(d_k), 1: -Fraction(m) * a_k / (n - k + 1)}) \
-        + prev.t_derivative() * LaurentPoly.t_power(1, Fraction(d_k, n - k + 1))
-
-
-@dataclass(frozen=True)
-class RecursionCheck:
-    """Outcome of the intersection-by-intersection recursion identity."""
-
-    ok: bool
-    failed_k: int | None = None
-    lhs: ExpPoly | None = None
-    rhs: ExpPoly | None = None
+        + prev.t_derivative() * LaurentPoly({1: Fraction(d_k, n - k + 1)})
 
 
 def verify_recursion(ci, field):
     """Check that recursion_step carries each I_(k-1) to the expanded I_k.
 
-    Returns a report rather than raising.
+    Returns the first level k at which the identity fails, or None when it
+    holds at every level.
     """
     validate(ci, field)
-    prev = ik0_symbolic(ci, field, 0)
+    prev = mixed_integral(ci, field, 0)
     for k in range(1, ci.codim + 1):
-        lhs = ik0_symbolic(ci, field, k)
-        rhs = recursion_step(ci, field, k, prev)
-        if lhs != rhs:
-            return RecursionCheck(False, k, lhs, rhs)
-        prev = lhs
-    return RecursionCheck(True)
+        level = mixed_integral(ci, field, k)
+        if level != recursion_step(ci, field, k, prev):
+            return k
+        prev = level
+    return None

@@ -30,13 +30,6 @@ from .geometry import validate
 _TRACE_GUARD_BITS = 64
 
 
-def _binom_dim(n, ambient_dim):
-    """Monomial count C(n, N) with the convention 0 whenever n < N."""
-    if n < ambient_dim:
-        return 0
-    return comb(n, ambient_dim)
-
-
 def nk(ci, k):
     """dim H^0 of the k-th anticanonical power, by the alternating sum.
 
@@ -50,7 +43,7 @@ def nk(ci, k):
     for size in range(ci.codim + 1):
         for subset in combinations(range(ci.codim), size):
             deg = n + k * m - sum(ci.degrees[p] for p in subset)
-            total += (-1) ** size * _binom_dim(deg, n)
+            total += (-1) ** size * comb(deg, n)
     return total
 
 

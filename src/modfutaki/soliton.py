@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import mpmath
 
@@ -96,16 +96,10 @@ def _nullspace_basis(rows, width):
         vec[fc] = Fraction(1)
         for row_idx, pc in enumerate(pivots):
             vec[pc] = -matrix[row_idx][fc]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        ints = [int(x * lcm) for x in vec]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        basis.append(tuple(Fraction(v) for v in ints))
+        scale = lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        g = gcd(*ints)
+        basis.append(tuple(Fraction(v // g) for v in ints))
     return tuple(basis)
 
 

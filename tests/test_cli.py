@@ -4,11 +4,13 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from modfutaki import ConvergenceRow, ExpPoly, cli, exactalg, quantize, soliton
+from modfutaki import (ConvergenceRow, ExpPoly, cli, exactalg, localization,
+                       quantize, soliton)
 from modfutaki.cli import main
 
 from conftest import CUBIC_F
@@ -119,7 +121,7 @@ class TestDerivative:
         assert code == 0
         doc = json.loads(out)
         from modfutaki import LaurentPoly
-        expected = CUBIC_F.t_derivative() * LaurentPoly.t_power(1)
+        expected = CUBIC_F.t_derivative() * LaurentPoly({1: Fraction(1)})
         assert ExpPoly.parse(doc["expression"]) == expected
 
     def test_zero_direction(self, cubic_path, capsys):
@@ -228,6 +230,23 @@ class TestVerify:
         assert code == 5
         doc = json.loads(out)
         assert doc["status"] == "failed: quantized_convergence"
+
+    def test_recursion_failure_exits_5(self, quadrics_path, capsys, monkeypatch):
+        # futaki binds its own recursion_step, so only the identity check fails
+        step = localization.recursion_step
+
+        def broken_step(ci, field, k, prev):
+            out = step(ci, field, k, prev)
+            return out + ExpPoly({0: Fraction(1)}) if k == 2 else out
+
+        monkeypatch.setattr(localization, "recursion_step", broken_step)
+        code, out = run(capsys, "--format", "json", "verify", quadrics_path)
+        assert code == 5
+        doc = json.loads(out)
+        assert doc["status"] == "failed: recursion_identity"
+        checks = {check["name"]: check["ok"] for check in doc["checks"]}
+        assert checks["two_path_equality"]
+        assert not checks["recursion_identity"]
 
 
 def error_code(out):

@@ -8,10 +8,11 @@ import pytest
 
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, Dual, ExpPoly,
                        InadmissibleDirection, LaurentPoly, PrecisionNotReached,
-                       derive_weights, expand_integrand, f_function,
+                       derive_weights, f_function,
                        f_function_via_recursion, f_numeric, fut_derivative)
 from modfutaki import exactalg
 from modfutaki.geometry import ValidationError
+from modfutaki.localization import _integrand
 from modfutaki.soliton import admissible_torus
 
 from conftest import (CUBIC, CUBIC_F, CUBIC_FIELD, QUADRICS, QUADRICS_F,
@@ -45,23 +46,23 @@ def torus_field(ci, coeffs):
 
 class TestExpandIntegrand:
     def test_cubic_single_factor(self):
-        mixed = expand_integrand(CUBIC, CUBIC_FIELD)
-        assert mixed[(1, 0)] == LaurentPoly.const(F(3))
-        assert mixed[(0, 1)] == LaurentPoly.const(F(3))
-        assert mixed[(0, 0)] == LaurentPoly.t_power(1, F(-3))
+        mixed = _integrand(CUBIC, CUBIC_FIELD, CUBIC.codim)
+        assert mixed[(1, 0)] == LaurentPoly({0: F(3)})
+        assert mixed[(0, 1)] == LaurentPoly({0: F(3)})
+        assert mixed[(0, 0)] == LaurentPoly({1: F(-3)})
 
     def test_empty_product(self):
         ci = CompleteIntersectionSpec.create(2, [])
-        mixed = expand_integrand(ci, DiagonalField.zero(ci))
-        assert mixed == {(0, 0): LaurentPoly.const(F(1))}
+        mixed = _integrand(ci, DiagonalField.zero(ci), ci.codim)
+        assert mixed == {(0, 0): LaurentPoly({0: F(1)})}
 
     def test_quadrics_product(self):
-        mixed = expand_integrand(QUADRICS, QUADRICS_FIELD)
-        assert mixed[(2, 0)] == LaurentPoly.const(F(4))
-        assert mixed[(1, 1)] == LaurentPoly.const(F(8))
-        assert mixed[(0, 2)] == LaurentPoly.const(F(4))
-        assert mixed[(1, 0)] == LaurentPoly.t_power(1, F(-4))
-        assert mixed[(0, 1)] == LaurentPoly.t_power(1, F(-4))
+        mixed = _integrand(QUADRICS, QUADRICS_FIELD, QUADRICS.codim)
+        assert mixed[(2, 0)] == LaurentPoly({0: F(4)})
+        assert mixed[(1, 1)] == LaurentPoly({0: F(8)})
+        assert mixed[(0, 2)] == LaurentPoly({0: F(4)})
+        assert mixed[(1, 0)] == LaurentPoly({1: F(-4)})
+        assert mixed[(0, 1)] == LaurentPoly({1: F(-4)})
         assert mixed[(0, 0)] == LaurentPoly({2: F(-24)})
 
     def test_degree_bound(self):
@@ -69,7 +70,7 @@ class TestExpandIntegrand:
         for _ in range(5):
             ci = random_fano(rng, max_dim=6)
             field = random_field(rng, ci)
-            mixed = expand_integrand(ci, field)
+            mixed = _integrand(ci, field, ci.codim)
             s = ci.codim
             for (j, l), c in mixed.items():
                 assert j + l <= s
@@ -87,7 +88,7 @@ class TestFunctional:
         rng = random.Random(2)
         for _ in range(8):
             ci = random_fano(rng)
-            assert f_function(ci, DiagonalField.zero(ci)) == ExpPoly.const(-1)
+            assert f_function(ci, DiagonalField.zero(ci)) == ExpPoly({0: F(-1)})
 
     def test_two_paths_agree(self):
         assert f_function(CUBIC, CUBIC_FIELD) == \
@@ -119,7 +120,7 @@ class TestDirectionalDerivative:
     def test_self_direction_is_scaling_derivative(self):
         for ci, field in ((CUBIC, CUBIC_FIELD), (QUADRICS, QUADRICS_FIELD)):
             fut = fut_derivative(ci, field, field)
-            expected = f_function(ci, field).t_derivative() * LaurentPoly.t_power(1)
+            expected = f_function(ci, field).t_derivative() * LaurentPoly({1: F(1)})
             assert fut == expected
 
     def test_zero_by_zero(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
-                       LaurentPoly, i0l_symbolic, ik0_symbolic,
+                       LaurentPoly, i0l_symbolic, localization,
                        verify_recursion)
 from modfutaki.exactalg import Dual, PrecisionNotReached, _to_mpf, primal
 from modfutaki.futaki import f_numeric
@@ -45,7 +45,7 @@ class TestZeroField:
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 1), (4, 2), (5, 6)])
     def test_volume_normalization(self, n, m):
         lam = (F(0),) * (n + 1)
-        assert i0l_symbolic(n, m, lam, 0) == ExpPoly.const(1)
+        assert i0l_symbolic(n, m, lam, 0) == ExpPoly({0: F(1)})
         for l in (1, 2, 3):
             assert i0l_symbolic(n, m, lam, l) == ExpPoly()
 
@@ -98,7 +98,7 @@ class TestMomentIdentities:
                 derived = base
                 for _ in range(l):
                     derived = derived.t_derivative()
-                derived = derived * LaurentPoly.t_power(l)
+                derived = derived * LaurentPoly({l: F(1)})
                 assert i0l_symbolic(n, m, lam, l) == derived
 
     def test_scaling_covariance(self):
@@ -135,7 +135,7 @@ class TestNumeric:
 
     def test_matches_symbolic_at_one(self):
         sym = i0l_symbolic(3, 1, CUBIC_FIELD.eigenvalues, 0)
-        scaled = sym * LaurentPoly.t_power(3, F(1, 6))
+        scaled = sym * LaurentPoly({3: F(1, 6)})
         num = _dd_numeric_multi(0, 1, [-7, 5, 1, 1], 256 + 64)[0]
         assert abs(num - scaled.evaluate(1, 256)) < mpmath.mpf(2) ** -240
 
@@ -194,7 +194,7 @@ class TestExactKernel:
                 for k, y in enumerate(nodes):
                     if k != j:
                         denom *= x - y
-                lagrange = lagrange + ExpPoly.exponential(m * x, x ** l / denom)
+                lagrange = lagrange + ExpPoly({m * x: x ** l / denom})
             assert dds[l] == lagrange, (nodes, m, l)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -227,8 +227,8 @@ def moments_by_l(n, m, eigenvalues, max_l, tangents=None):
     for l in range(max_l + 1):
         total = ExpPoly()
         for i in range(l + 1):
-            total = total + dds[i] * LaurentPoly.t_power(
-                i - n, _moment_coefficient(n, m, l, i))
+            total = total + dds[i] * LaurentPoly(
+                {i - n: _moment_coefficient(n, m, l, i)})
         out.append(total)
     return out
 
@@ -593,11 +593,11 @@ class TestIntegerKernelAgainstOracle:
 
 class TestIntersectionLevels:
     def test_level_zero_is_ambient_moment(self):
-        assert ik0_symbolic(CUBIC, CUBIC_FIELD, 0) == CUBIC_I00
+        assert mixed_integral(CUBIC, CUBIC_FIELD, 0) == CUBIC_I00
 
     def test_top_level_gives_functional(self):
         # F = -exp(sum a t) I_s / (d_1..d_s) for the cubic
-        top = ik0_symbolic(CUBIC, CUBIC_FIELD, 1)
+        top = mixed_integral(CUBIC, CUBIC_FIELD, 1)
         f = top.shift_frequency(F(3)) * F(-1, 3)
         from conftest import CUBIC_F
         assert f == CUBIC_F
@@ -605,21 +605,31 @@ class TestIntersectionLevels:
     def test_zero_field_degree_chain(self):
         for ci in (CUBIC, QUADRICS):
             zero = DiagonalField.zero(ci)
-            top = ik0_symbolic(ci, zero, ci.codim)
+            top = mixed_integral(ci, zero, ci.codim)
             product = 1
             for d in ci.degrees:
                 product *= d
-            assert top == ExpPoly.const(product)
+            assert top == ExpPoly({0: F(product)})
 
 
 class TestRecursion:
     def test_golden_examples(self):
-        assert verify_recursion(CUBIC, CUBIC_FIELD).ok
-        assert verify_recursion(QUADRICS, QUADRICS_FIELD).ok
+        assert verify_recursion(CUBIC, CUBIC_FIELD) is None
+        assert verify_recursion(QUADRICS, QUADRICS_FIELD) is None
 
     def test_zero_field(self):
         for ci in (CUBIC, QUADRICS):
-            assert verify_recursion(ci, DiagonalField.zero(ci)).ok
+            assert verify_recursion(ci, DiagonalField.zero(ci)) is None
+
+    def test_reports_the_first_failing_level(self, monkeypatch):
+        step = localization.recursion_step
+
+        def broken_step(ci, field, k, prev):
+            out = step(ci, field, k, prev)
+            return out + ExpPoly({0: F(1)}) if k == 2 else out
+
+        monkeypatch.setattr(localization, "recursion_step", broken_step)
+        assert verify_recursion(QUADRICS, QUADRICS_FIELD) == 2
 
     def test_random_admissible(self):
         rng = random.Random(10)
@@ -640,6 +650,6 @@ class TestRecursion:
             lam.append(-sum(lam, F(0)))
             weights = [random_fraction(rng) for _ in range(s)]
             field = DiagonalField.create(lam, weights)
-            assert verify_recursion(ci, field).ok, (ci, field)
+            assert verify_recursion(ci, field) is None, (ci, field)
             done += 1
 

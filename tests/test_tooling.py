@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from modfutaki import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
 README = ROOT / "README.md"
@@ -83,3 +85,15 @@ def test_readme_has_python_examples():
 def test_readme_python_block_runs(source):
     # a name deleted from the package must not linger in the docs
     exec(compile(source, str(README), "exec"), {})
+
+
+def test_readme_quoted_eval_output_matches(tmp_path, capsys):
+    # the README's quoted `eval` line is what the CLI prints for its input block
+    text = README.read_text(encoding="utf-8")
+    document, = re.findall(r"^```json\n(.*?)^```", text, re.S | re.M)
+    quoted = re.search(r"^\$ modfutaki eval input\.json \| head -1\n(.*)$",
+                       text, re.M).group(1)
+    path = tmp_path / "input.json"
+    path.write_text(document, encoding="utf-8")
+    assert cli.main(["eval", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == quoted
