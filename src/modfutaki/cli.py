@@ -20,8 +20,10 @@ Sizes are bounded so that no input runs without limit: ambient_dim must be
 at most 64, --precision (and FUTAKI_PRECISION_BITS) must lie in 64..4096
 bits, every rational (an eigenvalue, a weight, a direction or --t) may have
 at most 100 digits in its numerator and in its denominator as written,
-quantize --k must be positive with k*m at most 2048, m the Fano index, and
-soliton --max-iter must lie in 0..1000 with --tol finite and positive.
+quantize --k must be positive with k*m at most 2048, m the Fano index,
+quantize and verify take at most 10 defining polynomials (at most 1024
+Koszul terms, one per subset), and soliton --max-iter must lie in 0..1000
+with --tol finite and positive.
 Anything outside fails with exit 2 before any computation starts, except
 that eval and derivative read --t after the expression is computed. Exact
 results print at any size. Usage errors (an unknown option, a non-integer
@@ -63,6 +65,7 @@ MAX_AMBIENT_DIM = 64
 MAX_RATIONAL_DIGITS = 100
 MAX_NEWTON_ITERATIONS = 1000
 MAX_QUANTIZE_DEGREE = 2048
+MAX_KOSZUL_SUBSETS = 2 ** 10
 
 
 # The forms that Fraction reads, split up so that digits are counted before
@@ -267,7 +270,16 @@ def cmd_derivative(ci, field, args):
     return EXIT_OK
 
 
+def _check_koszul_size(ci):
+    """Refuse a codimension whose Koszul sums over 2^s subsets are too long."""
+    if 2 ** ci.codim > MAX_KOSZUL_SUBSETS:
+        raise ValidationError(
+            f"{ci.codim} defining polynomials give 2^{ci.codim} Koszul terms; "
+            f"quantize and verify take at most {MAX_KOSZUL_SUBSETS}")
+
+
 def cmd_quantize(ci, field, args):
+    _check_koszul_size(ci)
     t = _parse_rational(args.t, "--t")
     k = args.k
     if k < 1:
@@ -317,6 +329,7 @@ def cmd_soliton(ci, field, args):
 
 
 def cmd_verify(ci, field, args):
+    _check_koszul_size(ci)
     t = _parse_rational(args.t, "--t")
     checks = []
 

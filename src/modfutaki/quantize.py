@@ -8,6 +8,13 @@ polynomial in e^(r_i t/k) times a constant weight shift e^((k sum a + sum_S
 a_p) t/k). The normalized trace F_k/(k N_k) converges to the exact functional
 as k grows, which makes this an independent check of the localization value.
 
+The complete homogeneous polynomials run on Python ints in fixed point. The
+nodes are divided by the largest one, e^(r_top t/k), so each lies in (0, 1]
+and the top one is exactly 1; the word size W makes the recurrence's own
+rounding cost at most 2^-(work + 14) of each h_d, relative
+(complete_homogeneous_all has the proof). The factor e^(d r_top t/k) joins
+each summand's weight shift, so a summand still costs one exp.
+
 Sign bookkeeping of the shifts at finite k is pinned by two identities:
 F_k(0) = -k N_k at every level, and convergence of F_k/(k N_k) to F(V) on the
 worked golden examples. The alternating sum of F_k starts with a 64-bit
@@ -47,19 +54,50 @@ def nk(ci, k):
     return total
 
 
-def complete_homogeneous_all(values, max_degree):
-    """h_0..h_max of the given values, taking in one value at a time.
+def complete_homogeneous_all(values, max_degree, word):
+    """h_0..h_max of the given values, in fixed point with a word of W bits.
 
-    Generic in the coefficient ring (+ and * only, no division): after
-    x_0..x_j, h_d(x_0..x_j) = h_d(x_0..x_(j-1)) + x_j h_(d-1)(x_0..x_j).
-    O(max_degree * len(values)) products, and for positive values every
-    term added is positive.
+    A value x stands for x 2^-W, and so does each h_d returned. After
+    x_0..x_j, h_d(x_0..x_j) = h_d(x_0..x_(j-1)) + x_j h_(d-1)(x_0..x_j), and
+    each product is truncated to the word: h[d] += x h[d-1] >> W. At W = 0
+    this is the exact recurrence in any ring with + and * (and an identity
+    >> 0). O(max_degree * len(values)) products.
+
+    Error, for n values y_i 2^W in [0, 2^W] whose largest is exactly 2^W
+    and W = work + bit_length(n D) + 16, with D = max_degree. Each term of
+    h_D(y) is positive, and y_max = 1 gives h_D(y) >= y_max^e h_(D-e)(y) =
+    h_(D-e)(y) for e <= D; h_(D-e) of a subset of the nodes is smaller still.
+    - The n D truncations each drop less than 2^-W from one h_d(y_0..y_j),
+      which reaches h_D through the positive factor h_(D-d)(y_j..y_(n-1)) <=
+      h_D(y). Every drop is downward, so none cancels another; together
+      they cost at most n D 2^-W of h_D, relative.
+    - An input off by less than 2 2^-W (an exp right to 2^-W, then its
+      floor) moves h_D by at most 2 2^-W dh_D/dy_i = 2 2^-W h_(D-1)(y, y_i)
+      = 2 2^-W sum_e y_i^e h_(D-1-e)(y) <= 2 D 2^-W h_D(y); n inputs cost at
+      most 2 n D 2^-W.
+    So each h_d (d <= D) is within 3 n D 2^-W < 2^-(work + 14) of h_d at the
+    exact nodes, relative, to first order.
     """
-    h = [1] + [0] * max_degree
+    h = [1 << word] + [0] * max_degree
     for x in values:
         for d in range(1, max_degree + 1):
-            h[d] = h[d] + x * h[d - 1]
+            h[d] += x * h[d - 1] >> word
     return h
+
+
+def _scaled_traces(eigenvalues, u, max_degree, work_bits):
+    """r_top, W and the fixed-point h_0..h_max of the nodes e^(r_i u).
+
+    r_top is the eigenvalue with the largest r u, and the recurrence takes
+    the ints floor(e^((r_i - r_top) u) 2^W), so h_d(e^(r_i u)) = e^(d r_top u)
+    h[d] 2^-W with the relative error that complete_homogeneous_all bounds.
+    """
+    top = max(eigenvalues, key=lambda r: r * u)
+    word = work_bits + (len(eigenvalues) * max_degree).bit_length() + 16
+    with mpmath.workprec(word):
+        ys = [int(mpmath.ldexp(mpmath.exp(_to_mpf((r - top) * u)), word))
+              for r in eigenvalues]
+    return top, word, complete_homogeneous_all(ys, max_degree, word)
 
 
 @dataclass(frozen=True)
@@ -107,18 +145,16 @@ def fk(ci, field, k, t, precision_bits=DEFAULT_PRECISION_BITS):
                for subset in combinations(range(s), size)]
 
     def compute(work_bits):
-        uu = _to_mpf(u)
-        xs = [mpmath.exp(_to_mpf(r) * uu) for r in field.eigenvalues]
-        h = complete_homogeneous_all(xs, k * m)
+        top, word, h = _scaled_traces(field.eigenvalues, u, k * m, work_bits)
         pieces = []
         for subset in subsets:
             deg = k * m - sum(ci.degrees[p] for p in subset)
             if deg < 0:
                 continue
-            shift = (k * weight_total
+            shift = (k * weight_total + deg * top
                      + sum((field.weights[p] for p in subset), Fraction(0))) * u
-            pieces.append((-1) ** len(subset)
-                          * mpmath.exp(_to_mpf(shift)) * h[deg])
+            pieces.append((-1) ** len(subset) * mpmath.ldexp(
+                mpmath.exp(_to_mpf(shift)) * h[deg], -word))
         return -k * mpmath.fsum(pieces), pieces
 
     return guarded(compute, precision_bits, _TRACE_GUARD_BITS)

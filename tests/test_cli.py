@@ -389,6 +389,33 @@ class TestLimits:
         assert code == 2
         assert error_code(out) == "invalid_input"
 
+    @pytest.mark.parametrize("command", [
+        ["quantize", "--k", "1", "--t", "1/2"], ["verify"]], ids=lambda c: c[0])
+    def test_koszul_subsets_above_limit(self, tmp_path, capsys, monkeypatch,
+                                        command):
+        # 39 linear sections of P^40: 2^39 Koszul terms in nk and fk
+        for module, name in ((quantize, "nk"), (cli, "fk"),
+                             (cli, "f_function"), (cli, "convergence_report")):
+            monkeypatch.setattr(module, name, refuse_work)
+        path = tmp_path / "sections.json"
+        path.write_text(json.dumps({"ambient_dim": 40, "degrees": [1] * 39}))
+        code, out = run(capsys, "--format", "json", command[0], str(path),
+                        *command[1:])
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+        assert "Koszul" in json.loads(out)["error"]["message"]
+
+    def test_koszul_subsets_at_limit(self, tmp_path, capsys):
+        codim = cli.MAX_KOSZUL_SUBSETS.bit_length() - 1
+        for s, expected in ((codim, 0), (codim + 1, 2)):
+            path = tmp_path / f"sections{s}.json"
+            path.write_text(json.dumps({"ambient_dim": s + 1,
+                                        "degrees": [1] * s}))
+            for command in (["quantize", "--k", "1", "--t", "1/2"], ["verify"]):
+                code, out = run(capsys, "--format", "json", command[0],
+                                str(path), *command[1:])
+                assert code == expected
+
     @pytest.mark.parametrize("ambient_dim", [
         cli.MAX_AMBIENT_DIM + 1, 30000000, 1000000000000000, "30000000"],
         ids=repr)

@@ -3,14 +3,16 @@
 import random
 from fractions import Fraction as F
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 import mpmath
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from modfutaki import (CompleteIntersectionSpec, DiagonalField,
+from modfutaki import (CompleteIntersectionSpec, DiagonalField, cli,
                        convergence_report, f_function, fk, nk)
 from modfutaki.exactalg import _to_mpf
-from modfutaki.quantize import complete_homogeneous_all
+from modfutaki.quantize import _scaled_traces, complete_homogeneous_all
 
 from conftest import CUBIC, CUBIC_FIELD, QUADRICS, QUADRICS_FIELD
 
@@ -30,10 +32,20 @@ def brute_force_h(values, degree):
 
 
 def character_trace(eigenvalues, degree, u, bits):
-    """h_degree(e^(r_0 u)..e^(r_N u)) at bits + 64 working bits."""
+    """h_degree(e^(r_0 u)..e^(r_N u)) from the fixed-point path at bits + 64."""
     with mpmath.workprec(bits + 64):
-        xs = [mpmath.exp(_to_mpf(r) * _to_mpf(u)) for r in eigenvalues]
-        return complete_homogeneous_all(xs, degree)[degree]
+        top, word, h = _scaled_traces(eigenvalues, u, degree, bits + 64)
+        return mpmath.ldexp(mpmath.exp(_to_mpf(degree * top * u)) * h[degree],
+                            -word)
+
+
+def mpf_complete_homogeneous(values, degree):
+    """h_degree by the recurrence on mpf at the working precision (test oracle)."""
+    h = [mpmath.mpf(1)] + [mpmath.mpf(0)] * degree
+    for x in values:
+        for d in range(1, degree + 1):
+            h[d] = h[d] + x * h[d - 1]
+    return h[degree]
 
 
 class TestSectionCounts:
@@ -86,8 +98,10 @@ class TestCharacterTrace:
             d = rng.randint(1, 8)
             values = [F(rng.randint(-5, 5), rng.randint(1, 4))
                       for _ in range(n + 1)]
-            assert complete_homogeneous_all(values, d)[d] == \
-                brute_force_h(values, d)
+            scale = lcm(*(x.denominator for x in values))
+            ints = [int(x * scale) for x in values]
+            assert complete_homogeneous_all(ints, d, 0)[d] == \
+                scale ** d * brute_force_h(values, d)
 
     def test_newton_recurrence_as_polynomial_identity(self):
         # run the recurrence over formal indeterminates and compare exactly
@@ -116,6 +130,10 @@ class TestCharacterTrace:
                         out[k] = out.get(k, F(0)) + v1 * v2
                 return Poly(out)
 
+            def __rshift__(self, word):
+                assert word == 0
+                return self
+
             def __truediv__(self, c):
                 return Poly({k: v / c for k, v in self.terms.items()})
 
@@ -128,7 +146,7 @@ class TestCharacterTrace:
                 exp = [0] * nvars
                 exp[i] = 1
                 xs.append(Poly({tuple(exp): F(1)}))
-            got = complete_homogeneous_all(xs, degree)[degree]
+            got = complete_homogeneous_all(xs, degree, 0)[degree]
             expected = Poly({exps: F(1)
                              for exps in product(range(degree + 1), repeat=nvars)
                              if sum(exps) == degree})
@@ -140,6 +158,52 @@ class TestCharacterTrace:
             lam = [F(rng.randint(-4, 4)) for _ in range(4)]
             v = character_trace(lam, rng.randint(1, 6), F(1, 5), 128)
             assert v > 0
+
+
+def trace_cases(bits, max_distinct):
+    """Nodes r_i, each once or twice, u = +-1/q with |r u| <= 60, D and bits."""
+    nodes = st.lists(st.tuples(st.integers(-240, 240), st.integers(1, 2)),
+                     min_size=2, max_size=max_distinct,
+                     unique_by=lambda pair: pair[0])
+    return st.tuples(
+        nodes.map(lambda pairs: [F(a, 4) for a, times in pairs
+                                 for _ in range(times)]),
+        st.builds(F, st.sampled_from((1, -1)), st.integers(1, 8)),
+        st.integers(1, cli.MAX_QUANTIZE_DEGREE),
+        bits)
+
+
+class TestFixedPointTrace:
+    """The fixed-point h_D against the mpf recurrence run at twice the bits."""
+
+    @staticmethod
+    def check(eigenvalues, u, degree, bits):
+        # the bound 3 n D 2^-W of complete_homogeneous_all's docstring, with
+        # W worked out here, so that a narrower word in the code fails it
+        work = bits + 64
+        n = len(eigenvalues)
+        word = work + (n * degree).bit_length() + 16
+        top, _, h = _scaled_traces(eigenvalues, u, degree, work)
+        with mpmath.workprec(2 * work):
+            ys = [mpmath.exp(_to_mpf((r - top) * u)) for r in eigenvalues]
+            ref = mpf_complete_homogeneous(ys, degree)
+            got = mpmath.ldexp(mpmath.mpf(h[degree]), -word)
+            assert abs(got - ref) <= 3 * n * degree * mpmath.ldexp(ref, -word)
+
+    @settings(max_examples=40)
+    @given(trace_cases(st.sampled_from((64, 128, 256)), 5))
+    # nodes 120 apart at 64 bits: e^-120 2^W truncates to 0
+    @example(([F(60), F(-60), F(0), F(-60)], F(1), 2048, 64))
+    @example(([F(60), F(-60), F(59), F(1, 4)], F(-1), 2048, 64))
+    @example(([F(1), F(1), F(3, 4), F(1, 2)], F(-1, 8), 2048, 256))
+    def test_matches_the_mpf_recurrence(self, case):
+        self.check(*case)
+
+    @settings(max_examples=3)
+    @given(trace_cases(st.just(4096), 2))
+    @example(([F(3), F(-2), F(-2), F(5, 4)], F(-1, 3), 2048, 4096))
+    def test_matches_the_mpf_recurrence_at_4096_bits(self, case):
+        self.check(*case)
 
 
 class TestQuantizedFunctional:
