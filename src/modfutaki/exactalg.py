@@ -116,9 +116,6 @@ class Dual:
             return Dual(self.value - other.value, self.derivative - other.derivative)
         return Dual(self.value - other, self.derivative)
 
-    def __rsub__(self, other):
-        return Dual(other - self.value, -self.derivative)
-
     def __neg__(self):
         return Dual(-self.value, -self.derivative)
 

@@ -10,10 +10,10 @@ computed by running this same pipeline over dual-number scalars: each
 eigenvalue r_i picks up the direction's tangent in its eps slot and each
 weight a_i likewise; tangents of frequencies materialize as extra factors of
 t. The numeric twin of the pipeline replaces exact divided differences by the
-bidiagonal evaluator and accepts arbitrary real eigenvalues; its final sum
-starts with a 64-bit guard and is checked by the shared rule of
-exactalg.guarded, the only guard on that path: the kernel runs at the guarded
-precision plus what its own squarings lose.
+bidiagonal evaluator and accepts arbitrary real eigenvalues. Its final sum
+starts with a 64-bit guard checked by exactalg.guarded, the one guard that
+measures; i0l_numeric_all adds 32 bits of its own to the moment sums, and the
+kernel runs at the guarded precision plus what its own squarings lose.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
     Dual(Dual(F, D_u F), Dual(D_v F, D_u D_v F)), so that
     result.derivative.derivative is the second derivative along u and v.
     """
-    ci.check()
     n, s, m = ci.ambient_dim, ci.codim, ci.fano_index
     if len(eigenvalues) != n + 1:
         raise ValidationError(

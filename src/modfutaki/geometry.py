@@ -5,9 +5,10 @@ supports of the defining polynomials. Coefficients of the defining
 polynomials are never stored: every computed quantity depends only on the
 degrees, the eigenvalue vector of the diagonal field, and the weights it
 induces on each defining polynomial, and the weights are determined by the
-supports alone. Whether the chosen polynomials actually cut out a variety of
-the expected dimension with log terminal singularities is the caller's
-responsibility; it is not decidable from supports.
+supports alone. Each CompleteIntersectionSpec is checked when constructed.
+Whether the chosen polynomials actually cut out a variety of the expected
+dimension with log terminal singularities is the caller's responsibility; it
+is not decidable from supports.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class CompleteIntersectionSpec:
 
     supports[i], when given, lists the exponent vectors of the monomials of
     the i-th defining polynomial (length N+1, nonnegative, summing to d_i).
+    Construction checks this (MalformedSupport), N >= 1 and d_i >= 1
+    (ValidationError) and m = N + 1 - sum d_i >= 1 (NotFano).
     """
 
     ambient_dim: int
@@ -78,9 +81,7 @@ class CompleteIntersectionSpec:
                       for mono in sup)
                 for sup in supports
             )
-        ci = cls(_integer(ambient_dim, "ambient dimension"), degrees, supports)
-        ci.check()
-        return ci
+        return cls(_integer(ambient_dim, "ambient dimension"), degrees, supports)
 
     @property
     def codim(self):
@@ -90,7 +91,7 @@ class CompleteIntersectionSpec:
     def fano_index(self):
         return self.ambient_dim + 1 - sum(self.degrees)
 
-    def check(self):
+    def __post_init__(self):
         n = self.ambient_dim
         if n < 1:
             raise ValidationError(f"ambient dimension must be >= 1, got {n}")
@@ -120,7 +121,6 @@ class CompleteIntersectionSpec:
                         raise MalformedSupport(
                             f"support {i}: {mono} has degree {sum(mono)}, "
                             f"expected {self.degrees[i]}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,6 @@ def derive_weights(ci, eigenvalues):
 
 def validate(ci, field):
     """Check every structural invariant of the pair; raises on the first failure."""
-    ci.check()
     n = ci.ambient_dim
     if len(field.eigenvalues) != n + 1:
         raise ValidationError(
@@ -206,7 +205,6 @@ def validate(ci, field):
 
 def anticanonical_degree(ci):
     """Top self-intersection of the anticanonical class: d_1...d_s * m^(N-s)."""
-    ci.check()
     out = ci.fano_index ** (ci.ambient_dim - ci.codim)
     for d in ci.degrees:
         out *= d

@@ -19,10 +19,10 @@ triangular matrices, about n^3/6 products, and the last forms only the last
 column, O(n^2); each further power x^i costs O(n). The Taylor steps and the
 squarings run on Python ints in fixed point, at a word size of the working
 precision plus sigma, log2((n-1)!), (n-1) * (sigma - log2 m) when positive,
-and 16 bits (sigma the number of squarings): enough that every entry keeps
-the working precision. The caller's guard covers any other loss. Callers
-bound the size of the work: the command line accepts 64..4096 bits of
-precision.
+and 16 bits (sigma the number of squarings), so that rounding keeps every
+entry at the working precision. The Taylor degree bounds the truncation only
+absolutely, by 2^-(precision+8): 25 nodes at -7 + j 2^-20 keep 30 of 64 bits.
+f_numeric's 64 guard bits cover that case, the caller's guard other losses.
 """
 
 from __future__ import annotations
@@ -166,11 +166,13 @@ def _expm_last_column(diag, sup, precision_bits):
 
     J has ones just above the diagonal, and the diag entries are all Dual or
     all mpf. Scaling and squaring: B/2^sigma has row-sum norm at most 1/2,
-    and the Taylor degree is chosen so the truncation bound holds at the
-    working precision. Upper-triangular matrices are stored by rows from the
-    diagonal on (row i holds columns i..n-1). Each Horner step multiplies by
-    the bidiagonal B, O(n^2); each squaring multiplies upper-triangular
-    matrices, O(n^3/6), and the last one forms only the last column, O(n^2).
+    and the Taylor degree holds the truncation under 2^-(precision_bits + 8)
+    in absolute terms only, so an entry far smaller than that loses relative
+    bits to it (the near-confluent case of the module docstring).
+    Upper-triangular matrices are stored by rows from the diagonal on (row i
+    holds columns i..n-1). Each Horner step multiplies by the bidiagonal B,
+    O(n^2); each squaring multiplies upper-triangular matrices, O(n^3/6), and
+    the last one forms only the last column, O(n^2).
 
     Both loops run in fixed point: an entry is an int, or a Dual of ints,
     that stands for itself times 2^-W. A Horner step divides by j through a
@@ -180,7 +182,7 @@ def _expm_last_column(diag, sup, precision_bits):
         W = precision_bits + sigma + ceil(log2((n-1)!))
             + (n-1) * max(0, sigma - floor(log2|sup|)) + 16.
 
-    Why W is enough, at real nodes with sup > 0: entry (i,k) of
+    Why W is enough for rounding, at real nodes with sup > 0: entry (i,k) of
     exp(B/2^sigma) is s^(k-i), s = sup/2^sigma, times a divided difference
     of exp, which is an integral of exp over a simplex (Hermite-Genocchi).
     So it is at least s^(k-i) e^(-1/2)/(k-i)!, which the third and fourth
@@ -189,10 +191,10 @@ def _expm_last_column(diag, sup, precision_bits):
     precision_bits + sigma + 16 relative bits. Each square is again such an
     exponential, with positive entries, and a squaring sums positive
     products, so it at most doubles a relative error: the sigma term pays
-    for the squarings. A negative sup flips the sign of entry (i,k) by
-    the parity of k - i and changes no magnitude. An entry whose nodes all
-    lie far below the others can fall under 2^-W in the squarings and keep
-    only absolute accuracy. The top entry, over all the nodes, is at least
+    for the squarings. A negative sup flips the sign of entry (i,k) by the
+    parity of k - i and changes no magnitude. An entry whose nodes all lie
+    far below the others can fall under 2^-W in the squarings and keep only
+    absolute accuracy. The top entry, over all the nodes, is at least
     |sup|^(n-1)/(n-1)! when the nodes are centred (Jensen), so next to it
     such an entry weighs under 2^-(precision_bits + 16).
     """

@@ -37,21 +37,21 @@ from .geometry import validate
 _TRACE_GUARD_BITS = 64
 
 
+def _koszul(ci, k):
+    """(-1)^|S|, k m - sum_S d_p and S for each subset S of {1..s}."""
+    return [((-1) ** len(S), k * ci.fano_index - sum(ci.degrees[p] for p in S), S)
+            for size in range(ci.codim + 1) for S in combinations(range(ci.codim), size)]
+
+
 def nk(ci, k):
     """dim H^0 of the k-th anticanonical power, by the alternating sum.
 
     N_k = sum over subsets S of {1..s} of (-1)^|S| C(N + k m - sum_S d_p, N).
     """
-    ci.check()
     if k < 1:
         raise ValueError(f"the level k must be positive, got {k}")
-    n, m = ci.ambient_dim, ci.fano_index
-    total = 0
-    for size in range(ci.codim + 1):
-        for subset in combinations(range(ci.codim), size):
-            deg = n + k * m - sum(ci.degrees[p] for p in subset)
-            total += (-1) ** size * comb(deg, n)
-    return total
+    n = ci.ambient_dim
+    return sum(sign * comb(n + deg, n) for sign, deg, _ in _koszul(ci, k))
 
 
 def complete_homogeneous_all(values, max_degree, word):
@@ -138,22 +138,17 @@ def fk(ci, field, k, t, precision_bits=DEFAULT_PRECISION_BITS):
         with mpmath.workprec(max(precision_bits, dim.bit_length() + 16)):
             return mpmath.mpf(-k * dim)
 
-    s, m = ci.codim, ci.fano_index
     u = t / k
     weight_total = sum(field.weights, Fraction(0))
-    subsets = [subset for size in range(s + 1)
-               for subset in combinations(range(s), size)]
+    terms = [term for term in _koszul(ci, k) if term[1] >= 0]
 
     def compute(work_bits):
-        top, word, h = _scaled_traces(field.eigenvalues, u, k * m, work_bits)
+        top, word, h = _scaled_traces(field.eigenvalues, u, k * ci.fano_index, work_bits)
         pieces = []
-        for subset in subsets:
-            deg = k * m - sum(ci.degrees[p] for p in subset)
-            if deg < 0:
-                continue
+        for sign, deg, subset in terms:
             shift = (k * weight_total + deg * top
                      + sum((field.weights[p] for p in subset), Fraction(0))) * u
-            pieces.append((-1) ** len(subset) * mpmath.ldexp(
+            pieces.append(sign * mpmath.ldexp(
                 mpmath.exp(_to_mpf(shift)) * h[deg], -word))
         return -k * mpmath.fsum(pieces), pieces
 

@@ -105,7 +105,6 @@ def _nullspace_basis(rows, width):
 
 def admissible_torus(ci):
     """All traceless eigenvalue vectors consistent with every monomial support."""
-    ci.check()
     if ci.supports is None:
         raise ValidationError("the admissible torus requires monomial supports")
     width = ci.ambient_dim + 1
@@ -162,7 +161,6 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
     the iteration budget runs out or the line search stalls, reporting the
     last iterate and the Newton steps taken.
     """
-    ci.check()
     tol_mpf = mpmath.mpf(tol)
     if not (mpmath.isfinite(tol_mpf) and tol_mpf > 0):
         raise ValidationError(f"tolerance must be finite and positive, got {tol}")

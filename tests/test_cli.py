@@ -1,13 +1,18 @@
 """Command-line contract: schemas, round trips, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import random
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modfutaki import (ConvergenceRow, ExpPoly, cli, exactalg, localization,
                        quantize, soliton)
@@ -604,3 +609,94 @@ class TestOversizedNumbers:
         finally:
             sys.set_int_max_str_digits(limit)
         assert parsed.limit_at_zero() == -1
+
+
+# Malformed documents for every command: junk in each field, fields of the
+# wrong shape, documents that are not objects and text that is not JSON.
+JUNK = st.sampled_from([None, True, 3.5, -1, 0, 10 ** 30, "3", "x", "1/0",
+                        "1e999", "9" * 101, [], {}, [[1]]])
+RATIONAL = st.one_of(st.integers(-9, 9).map(str), st.integers(-9, 9),
+                     st.sampled_from(["1/2", "-3/4", "0.5", "", "1/0",
+                                      "1e-99"]), JUNK)
+
+
+def maybe_list(elements, max_size):
+    return st.one_of(st.lists(elements, max_size=max_size), JUNK)
+
+
+FIELDS = {
+    "ambient_dim": st.one_of(st.integers(-1, 5), JUNK),
+    "degrees": maybe_list(st.one_of(st.integers(-1, 4), JUNK), 3),
+    "supports": maybe_list(maybe_list(maybe_list(
+        st.one_of(st.integers(-1, 3), JUNK), 6), 3), 3),
+    "eigenvalues": maybe_list(RATIONAL, 7),
+    "weights": maybe_list(RATIONAL, 3),
+}
+DOCUMENT = st.fixed_dictionaries(
+    {key: FIELDS[key] for key in ("ambient_dim", "degrees")},
+    optional={key: FIELDS[key] for key in ("supports", "eigenvalues", "weights")})
+
+
+def permuted_eigenvalues(doc):
+    return st.permutations(doc["eigenvalues"])
+
+
+def mutated(doc):
+    """doc with its eigenvalues permuted or one field dropped or replaced, so
+    that most of it is valid."""
+    return st.one_of(
+        permuted_eigenvalues(doc).map(lambda eigen: {**doc, "eigenvalues": eigen}),
+        st.sampled_from(sorted(FIELDS)).flatmap(lambda key: st.one_of(
+            st.just({k: v for k, v in doc.items() if k != key}),
+            FIELDS[key].map(lambda value: {**doc, key: value}))))
+
+
+DOCUMENT_TEXT = st.one_of(
+    DOCUMENT.map(json.dumps),
+    st.sampled_from([CUBIC_DOC, QUADRICS_DOC]).flatmap(mutated).map(json.dumps),
+    st.one_of(JUNK, st.lists(JUNK, max_size=3)).map(json.dumps),
+    st.sampled_from(["", "{", "[1,", "NaN", '{"degrees": [3]}',
+                     '{"ambient_dim": 3}',
+                     '{"ambient_dim": ' + "9" * 5000 + ', "degrees": []}']),
+    st.text(max_size=20))
+DIRECTION_TEXT = st.one_of(
+    st.fixed_dictionaries({}, optional={"eigenvalues": maybe_list(RATIONAL, 7),
+                                        "weights": maybe_list(RATIONAL, 3)})
+    .map(json.dumps),
+    st.sampled_from([CUBIC_DOC, QUADRICS_DOC]).flatmap(permuted_eigenvalues)
+    .map(lambda eigen: json.dumps({"eigenvalues": eigen})),
+    st.sampled_from(["", "{", "5", "[]"]))
+COMMANDS = st.sampled_from([
+    ["check"], ["eval", "--t", "1/4"], ["derivative"],
+    ["quantize", "--k", "2", "--t", "1/4"], ["soliton", "--max-iter", "3"],
+    ["verify"]])
+# the stable error codes of each failing exit code
+ERROR_CODES = {
+    2: {"invalid_input", "not_fano", "not_traceless", "malformed_support",
+        "inconsistent_weights", "inadmissible_direction"},
+    3: {"evaluation_error", "precision_not_reached"},
+    4: {"no_convergence"},
+}
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=200)
+    @given(text=DOCUMENT_TEXT, command=COMMANDS, direction=DIRECTION_TEXT)
+    def test_exit_code_and_error_document(self, text, command, direction):
+        argv = ["--format", "json", command[0], "-", "--precision", "64",
+                *command[1:]]
+        if command[0] == "derivative":
+            argv += ["--direction", direction]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert err.getvalue() == ""
+        payload = json.loads(out.getvalue())
+        if code in ERROR_CODES:
+            assert payload["error"]["code"] in ERROR_CODES[code]
+        elif code == 5:
+            assert payload["status"].startswith("failed: ")
+        else:  # an error document has the one key "error"
+            assert code == 0
+            assert set(payload) != {"error"}

@@ -84,6 +84,35 @@ class TestValidate:
         assert validate(ci, field)
 
 
+class TestConstructionContract:
+    # a spec is checked when it is built, so direct construction refuses
+    # what create refuses, with the same exception class
+    @pytest.mark.parametrize("ambient_dim,degrees,supports,error", [
+        (3, (4,), None, NotFano),
+        (3, (2, 3), None, NotFano),
+        (3, (0,), None, ValidationError),
+        (3, (3, -1), None, ValidationError),
+        (0, (), None, ValidationError),
+        (3, (3,), (), MalformedSupport),
+        (3, (3,), (((1, 2, 0, 0),), ((1, 2, 0, 0),)), MalformedSupport),
+        (3, (3,), ((),), MalformedSupport),
+        (3, (3,), (((1, 2, 0),),), MalformedSupport),
+        (3, (3,), (((4, -1, 0, 0),),), MalformedSupport),
+        (3, (3,), (((1, 1, 0, 0),),), MalformedSupport),
+    ])
+    def test_direct_construction_raises_as_create(self, ambient_dim, degrees,
+                                                  supports, error):
+        with pytest.raises(ValidationError) as direct:
+            CompleteIntersectionSpec(ambient_dim, degrees, supports)
+        with pytest.raises(ValidationError) as created:
+            CompleteIntersectionSpec.create(ambient_dim, degrees, supports)
+        assert type(direct.value) is type(created.value) is error
+
+    def test_valid_spec_constructs_directly(self):
+        assert CompleteIntersectionSpec(
+            3, (3,), (((1, 2, 0, 0), (0, 0, 2, 1), (0, 0, 1, 2)),)) == CUBIC
+
+
 class TestIntegerFields:
     @pytest.mark.parametrize("ambient_dim,degrees,supports", [
         (True, [1], None),

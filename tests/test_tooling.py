@@ -97,3 +97,19 @@ def test_readme_quoted_eval_output_matches(tmp_path, capsys):
     path.write_text(document, encoding="utf-8")
     assert cli.main(["eval", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == quoted
+
+
+def test_readme_states_the_cli_bounds():
+    # each input limit of the command line is quoted where the README lists them
+    text = README.read_text(encoding="utf-8")
+    paragraph, = [p for p in text.split("\n\n") if "Inputs are bounded" in p]
+    paragraph = " ".join(paragraph.split())
+    for phrase in (
+            f"`ambient_dim` must be at most {cli.MAX_AMBIENT_DIM},",
+            f"must lie in {cli.MIN_PRECISION_BITS}..{cli.MAX_PRECISION_BITS},",
+            f"at most {cli.MAX_RATIONAL_DIGITS} digits in its numerator and in "
+            "its denominator",
+            f"`k*m <= {cli.MAX_QUANTIZE_DEGREE}`",
+            f"`2^s <= {cli.MAX_KOSZUL_SUBSETS}`",
+            f"`soliton --max-iter` must lie in 0..{cli.MAX_NEWTON_ITERATIONS}"):
+        assert phrase in paragraph, phrase
