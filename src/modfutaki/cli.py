@@ -169,8 +169,7 @@ def _digits(precision_bits):
 def _format_mpf(x, precision_bits):
     """Decimal rendering plus a bit-exact hex mantissa/exponent field."""
     decimal = mpmath.nstr(x, _digits(precision_bits), strip_zeros=False)
-    value = x if hasattr(x, "_mpf_") else mpmath.mpf(x)
-    sign, man, exp, _ = value._mpf_
+    sign, man, exp, _ = x._mpf_
     hexval = ("-" if sign else "") + hex(man) + "p" + format(exp, "+d")
     return {"decimal": decimal, "hex": hexval}
 
@@ -438,25 +437,17 @@ def _read_document(path):
         raise ValidationError(f"input is not valid JSON: {exc}") from exc
 
 
-def _is_rational(token):
-    try:
-        Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        return False
-    return True
-
-
 def _join_negative_t(argv):
     """argv with each `--t -3/7` joined into `--t=-3/7`.
 
     argparse reads a token that starts with '-' as an option unless it looks
     like -3 or -0.5, so `--t -3/7` would leave --t without its argument.
-    Only a token that parses as a rational is joined, and none after `--`.
+    Only a token that _RATIONAL_FORM matches is joined, and none after `--`.
     """
     out = []
     for token in argv:
         if (out and out[-1] == "--t" and token.startswith("-")
-                and _is_rational(token) and "--" not in out):
+                and _RATIONAL_FORM.fullmatch(token) and "--" not in out):
             out[-1] = f"--t={token}"
         else:
             out.append(token)

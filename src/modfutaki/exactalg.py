@@ -276,8 +276,7 @@ class LaurentPoly(_TermMap):
         """Evaluate at an mpf value of t."""
         total = mpmath.mpf(0)
         for e, c in self.terms.items():
-            cv = _to_mpf(c) if isinstance(c, Fraction) else c
-            total += cv * t ** e
+            total += _to_mpf(c) * t ** e
         return total
 
     def __repr__(self):

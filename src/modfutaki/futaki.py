@@ -25,15 +25,10 @@ import mpmath
 
 from .exactalg import (DEFAULT_PRECISION_BITS, Dual, LaurentPoly, _to_mpf,
                        guarded, scalar_exp, slotwise)
-from .geometry import InadmissibleDirection, ValidationError, validate
+from .geometry import (InadmissibleDirection, ValidationError,
+                       anticanonical_degree, validate)
 from .localization import (expand_equivariant_product, i0l_numeric_all,
                            i0l_symbolic, mixed_integral, recursion_step)
-
-
-def _normalization(ci):
-    """(N-s)! / (d_1..d_s m^(N-s)), the inverse anticanonical volume factor."""
-    n, s, m = ci.ambient_dim, ci.codim, ci.fano_index
-    return Fraction(factorial(n - s), prod(ci.degrees) * m ** (n - s))
 
 
 def _from_top_level(ci, field, top):
@@ -127,7 +122,8 @@ def f_numeric(ci, eigenvalues, weights, precision_bits=DEFAULT_PRECISION_BITS):
         for (j, l), c in coeffs.items():
             kappa = Fraction(m ** (n - j), factorial(n - j) * m ** l)
             pieces.append(c * _to_mpf(kappa) * moments[l])
-        prefactor = scalar_exp(sum(alph, one * 0)) * -_to_mpf(_normalization(ci))
+        volume = Fraction(factorial(n - s), anticanonical_degree(ci))
+        prefactor = scalar_exp(sum(alph, one * 0)) * -_to_mpf(volume)
         return prefactor * slotwise(lambda *xs: mpmath.fsum(xs), *pieces), pieces
 
     return guarded(compute, precision_bits, 64)

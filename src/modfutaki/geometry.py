@@ -58,6 +58,13 @@ def _integer(x, what):
     return value
 
 
+def _items(x, what):
+    """x when it is a list or a tuple; a string or a mapping is refused."""
+    if not isinstance(x, (list, tuple)):
+        raise ValidationError(f"{what} must be a list, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class CompleteIntersectionSpec:
     """An (N-s)-dimensional complete intersection of degrees d_1..d_s in P^N.
@@ -74,12 +81,14 @@ class CompleteIntersectionSpec:
 
     @classmethod
     def create(cls, ambient_dim, degrees, supports=None):
-        degrees = tuple(_integer(d, "degree") for d in degrees)
+        degrees = tuple(_integer(d, "degree")
+                        for d in _items(degrees, "degrees"))
         if supports is not None:
             supports = tuple(
-                tuple(tuple(_integer(a, "support exponent") for a in mono)
-                      for mono in sup)
-                for sup in supports
+                tuple(tuple(_integer(a, "support exponent")
+                            for a in _items(mono, "exponent vector"))
+                      for mono in _items(sup, "support"))
+                for sup in _items(supports, "supports")
             )
         return cls(_integer(ambient_dim, "ambient dimension"), degrees, supports)
 

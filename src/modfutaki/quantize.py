@@ -157,7 +157,6 @@ def fk(ci, field, k, t, precision_bits=DEFAULT_PRECISION_BITS):
 
 def convergence_report(ci, field, t, k_list, precision_bits=DEFAULT_PRECISION_BITS):
     """Tabulate F_k/(k N_k) against the localization value of F at t."""
-    validate(ci, field)
     t = Fraction(t)
     reference = f_function(ci, field).evaluate(t, precision_bits)
     return [ConvergenceRow.at_level(ci, k, fk(ci, field, k, t, precision_bits),

@@ -268,6 +268,10 @@ class TestMalformedInput:
         {"ambient_dim": 3, "degrees": [1.5]},
         {"ambient_dim": 3, "degrees": [True]},
         {"ambient_dim": 3, "degrees": [3], "supports": [[[1, 2, 0, 0.5]]]},
+        {"ambient_dim": 4, "degrees": "22"},
+        {"ambient_dim": 3, "degrees": {"3": 1}},
+        {"ambient_dim": 2, "degrees": [2], "supports": [["110", "002"]]},
+        {"ambient_dim": 2, "degrees": [2], "supports": [{"110": 1, "002": 1}]},
     ])
     def test_exit_2_invalid_input(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
@@ -479,6 +483,28 @@ class TestNegativeT:
         assert code == 2
         assert error_code(out) == "invalid_input"
 
+    @pytest.mark.parametrize("token", ["-1/0", "-1__0", "-."])
+    def test_token_of_the_grammar_is_read_as_t(self, cubic_path, capsys, token):
+        # joined, so the message names --t, not argparse's missing argument
+        code = main(["eval", cubic_path, "--t", token])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"error [invalid_input]: field '--t': "
+                                f"not a rational: {token!r}\n")
+
+    @settings(max_examples=300)
+    @given(st.text("0123456789\u0663_./eE +-", max_size=6))
+    def test_every_token_that_fraction_reads_is_joined(self, text):
+        # the grammar that bounds the digits covers Fraction's, so no token
+        # that is a rational reaches Fraction unbounded or stays unjoined
+        token = "-" + text
+        try:
+            Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            return
+        assert cli._join_negative_t(["eval", "--t", token]) == \
+            ["eval", f"--t={token}"]
+
     def test_nothing_after_double_dash_is_joined(self):
         assert cli._join_negative_t(["eval", "--", "--t", "-3/7"]) == \
             ["eval", "--", "--t", "-3/7"]
@@ -554,11 +580,17 @@ class TestOversizedNumbers:
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("t", ["1e100000", "1e100000000", "1/" + "7" * 101,
-                                   "0e99999999", "1e-101"],
+                                   "0e99999999", "1e-101", "-1e100000000"],
                              ids=["1e100000", "1e100000000", "1/7...7",
-                                  "0e99999999", "1e-101"])
+                                  "0e99999999", "1e-101", "-1e100000000"])
     def test_eval_t_past_the_limit(self, cubic_path, capsys, t):
         self.expect_refused(capsys, "eval", cubic_path, "--t", t)
+
+    def test_eval_negative_t_1e10000000_is_instant(self, cubic_path, capsys):
+        # a negative --t is joined to its option before any number is built
+        start = time.perf_counter()
+        self.expect_refused(capsys, "eval", cubic_path, "--t", "-1e10000000")
+        assert time.perf_counter() - start < 1
 
     def test_digit_limit_is_inclusive(self, tmp_path, capsys):
         top = "9" * cli.MAX_RATIONAL_DIGITS

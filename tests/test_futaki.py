@@ -1,5 +1,8 @@
 """Functional assembly, directional derivatives, numeric twin."""
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction as F
 
@@ -10,10 +13,10 @@ from modfutaki import (CompleteIntersectionSpec, DiagonalField, Dual, ExpPoly,
                        InadmissibleDirection, LaurentPoly, PrecisionNotReached,
                        derive_weights, f_function,
                        f_function_via_recursion, f_numeric, fut_derivative)
-from modfutaki import exactalg
+from modfutaki import cli, convergence_report, exactalg, find_soliton, fk
 from modfutaki.geometry import ValidationError
 from modfutaki.localization import _integrand
-from modfutaki.soliton import admissible_torus
+from modfutaki.soliton import NoConvergence, admissible_torus
 
 from conftest import (CUBIC, CUBIC_F, CUBIC_FIELD, QUADRICS, QUADRICS_F,
                       QUADRICS_FIELD)
@@ -220,6 +223,46 @@ class TestNumericTwin:
             num = f_numeric(CUBIC, lam, wts, 256).derivative
         assert abs(exact - num) < mpmath.mpf(2) ** -220 * (1 + abs(exact))
 
+    @staticmethod
+    def random_pairs():
+        """Ten (intersection, field, direction) triples with N <= 6, s <= 3.
+
+        Every second field repeats an eigenvalue; the others have distinct
+        ones. Without supports every traceless direction is admissible.
+        """
+        rng = random.Random(34)  # codimensions 0, 1, 2 and 3
+        for i in range(10):
+            ci = random_fano(rng, max_dim=6)
+            field = random_field(rng, ci)
+            while len(set(field.eigenvalues)) <= ci.ambient_dim:
+                field = random_field(rng, ci)
+            if i % 2:
+                lam = [*field.eigenvalues[:-1]]
+                lam[1] = lam[0]
+                field = DiagonalField.create([*lam, -sum(lam)], field.weights)
+            yield ci, field, random_field(rng, ci)
+
+    def test_agreement_with_symbolic_on_random_varieties(self):
+        for ci, field, _ in self.random_pairs():
+            value = f_function(ci, field)
+            for t in (F(1, 4), F(1, 2)):
+                sym = value.evaluate(t, 256)
+                num = f_numeric(ci, [r * t for r in field.eigenvalues],
+                                [a * t for a in field.weights], 256)
+                assert abs(sym - num) <= abs(sym) * mpmath.mpf(2) ** -(256 - 16)
+
+    def test_dual_input_on_random_varieties(self):
+        for ci, field, direction in self.random_pairs():
+            derivative = fut_derivative(ci, field, direction)
+            for t in (F(1, 4), F(1, 2)):
+                exact = derivative.evaluate(t, 256)
+                lam = [Dual(r * t, w * t) for r, w in
+                       zip(field.eigenvalues, direction.eigenvalues)]
+                wts = [Dual(a * t, b * t) for a, b in
+                       zip(field.weights, direction.weights)]
+                num = f_numeric(ci, lam, wts, 256).derivative
+                assert abs(exact - num) <= abs(exact) * mpmath.mpf(2) ** -(256 - 16)
+
     @pytest.mark.parametrize("dual", [False, True])
     def test_heavy_cancellation_takes_a_second_guard_pass(self, dual):
         # zero eigenvalues and a weight 2^-100 away from d N / m = 9: the
@@ -311,3 +354,39 @@ class TestPrecisionGuard:
             value.evaluate(F(1, 100000), 256)
         assert exc.value.requested_bits == 256
         assert exc.value.achieved_bits < 256
+
+
+def _verify_cubic(tmp_path):
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 3, "degrees": [3],
+        "supports": [[list(mono) for mono in sup] for sup in CUBIC.supports],
+        "eigenvalues": [str(r) for r in CUBIC_FIELD.eigenvalues]}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", str(path)]) == 0
+
+
+def _no_convergence(tmp_path):
+    with pytest.raises(NoConvergence):
+        find_soliton(CUBIC, max_iter=0, precision_bits=64)
+
+
+@pytest.mark.parametrize("call", [
+    lambda _: CUBIC_F.evaluate(F(1, 4), 128),
+    lambda _: CUBIC_F.evaluate(0, 128),
+    lambda _: f_numeric(CUBIC, [r / 4 for r in CUBIC_FIELD.eigenvalues],
+                        [a / 4 for a in CUBIC_FIELD.weights], 128),
+    lambda _: fk(CUBIC, CUBIC_FIELD, 8, F(1, 4), 128),
+    lambda _: fk(CUBIC, CUBIC_FIELD, 8, 0, 128),
+    lambda _: convergence_report(CUBIC, CUBIC_FIELD, F(1, 4), (8, 16), 128),
+    lambda _: find_soliton(CUBIC, precision_bits=64),
+    _no_convergence,
+    _verify_cubic,
+], ids=["evaluate", "evaluate-at-0", "f_numeric", "fk", "fk-at-0",
+        "convergence_report", "find_soliton", "find_soliton-no-convergence",
+        "cli-verify"])
+def test_call_leaves_the_precision_as_it_found_it(call, tmp_path, monkeypatch):
+    # each call works at its own precision and sets back mpmath's global one
+    monkeypatch.setattr(mpmath.mp, "prec", 77)
+    call(tmp_path)
+    assert mpmath.mp.prec == 77

@@ -123,6 +123,11 @@ class TestIntegerFields:
         (3, [3], [[[1, 2, 0, 0.5]]]),
         (3, [3], [[[1, 1, True, 0]]]),
         ([3], [3], None),
+        # a string or a mapping where a list belongs is iterated no further
+        (4, "22", None),
+        (3, {"3": 1}, None),
+        (2, [2], [["110", "002"]]),
+        (2, [2], [{"110": 1, "002": 1}]),
     ])
     def test_rejected(self, ambient_dim, degrees, supports):
         with pytest.raises(ValidationError):

@@ -113,3 +113,26 @@ def test_readme_states_the_cli_bounds():
             f"`2^s <= {cli.MAX_KOSZUL_SUBSETS}`",
             f"`soliton --max-iter` must lie in 0..{cli.MAX_NEWTON_ITERATIONS}"):
         assert phrase in paragraph, phrase
+
+
+def test_cli_builds_a_fraction_of_outside_text_only_past_the_digit_bound():
+    # _parse_rational counts digits before it calls Fraction; a Fraction of
+    # anything but a numeric literal elsewhere in cli could build 10^(10^8)
+    def literal(node):
+        try:
+            return isinstance(ast.literal_eval(node), (int, float))
+        except ValueError:
+            return False
+
+    tree = ast.parse(inspect.getsource(cli))
+    parse, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_parse_rational"]
+    bounded = {id(node) for node in ast.walk(parse)}
+    unbounded = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in bounded
+        and "Fraction" in (getattr(node.func, "id", None),
+                           getattr(node.func, "attr", None))
+        and not all(literal(arg) for arg in
+                    [*node.args, *(k.value for k in node.keywords)])]
+    assert unbounded == []
