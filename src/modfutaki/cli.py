@@ -24,8 +24,7 @@ quantize --k must be positive with k*m at most 2048, m the Fano index,
 quantize and verify take at most 10 defining polynomials (at most 1024
 Koszul terms, one per subset), and soliton --max-iter must lie in 0..1000
 with --tol finite and positive.
-Anything outside fails with exit 2 before any computation starts, except
-that eval and derivative read --t after the expression is computed. Exact
+Anything outside fails with exit 2 before any computation starts. Exact
 results print at any size. Usage errors (an unknown option, a non-integer
 --k or FUTAKI_PRECISION_BITS) exit 2 as well; under --format json they print
 the same error document as every other invalid input.
@@ -231,12 +230,11 @@ def cmd_check(ci, field, args):
     return EXIT_OK
 
 
-def _numeric_block(ci, field, value, args):
-    """The expression, the metadata and, with --t, the value at t."""
+def _numeric_block(ci, field, value, t, args):
+    """The expression, the metadata and, unless t is None, the value at t."""
     payload = _expression_block(value)
     payload["metadata"] = _metadata(ci, field)
-    if args.t is not None:
-        t = _parse_rational(args.t, "--t")
+    if t is not None:
         numeric = value.evaluate(t, args.precision)
         payload["numeric"] = {
             "t": str(t),
@@ -247,7 +245,8 @@ def _numeric_block(ci, field, value, args):
 
 
 def cmd_eval(ci, field, args):
-    _emit(_numeric_block(ci, field, f_function(ci, field), args), args)
+    t = None if args.t is None else _parse_rational(args.t, "--t")
+    _emit(_numeric_block(ci, field, f_function(ci, field), t, args), args)
     return EXIT_OK
 
 
@@ -264,8 +263,9 @@ def cmd_derivative(ci, field, args):
     else:
         wts = _default_weights(ci, eigen, "direction.weights")
     direction = DiagonalField(eigen, wts)
+    t = None if args.t is None else _parse_rational(args.t, "--t")
     value = fut_derivative(ci, field, direction)
-    _emit(_numeric_block(ci, field, value, args), args)
+    _emit(_numeric_block(ci, field, value, t, args), args)
     return EXIT_OK
 
 

@@ -175,9 +175,9 @@ def _expm_last_column(diag, sup, precision_bits):
     the last one forms only the last column, O(n^2).
 
     Both loops run in fixed point: an entry is an int, or a Dual of ints,
-    that stands for itself times 2^-W. A Horner step divides by j through a
-    multiply by 2^W // j and one shift by 2W; a squaring shifts each entry
-    back by W. The word size is
+    that stands for itself times 2^-W. A Horner step divides by j by scaling
+    sup and each diag entry once by 2^W // j, then shifting each new entry
+    by 2W; a squaring shifts each entry back by W. The word size is
 
         W = precision_bits + sigma + ceil(log2((n-1)!))
             + (n-1) * max(0, sigma - floor(log2|sup|)) + 16.
@@ -228,11 +228,13 @@ def _expm_last_column(diag, sup, precision_bits):
     out = [[one] + [0] * (n - 1 - i) for i in range(n)]
     for j in range(degree, 0, -1):
         inv = one // j
+        sj = sup * inv
         # row i of (B @ out / j + I), from rows i and i+1 of out
-        out = [[(d * row[0] * inv >> twice) + one]
-               + [(d * row[k] + below[k - 1] * sup) * inv >> twice
+        out = [[(dj * row[0] >> twice) + one]
+               + [dj * row[k] + below[k - 1] * sj >> twice
                   for k in range(1, len(row))]
-               for d, row, below in zip(diag, out, out[1:] + [None])]
+               for dj, row, below in zip([d * inv for d in diag], out,
+                                         out[1:] + [None])]
 
     def square_entry(a, i, k):
         row = a[i]

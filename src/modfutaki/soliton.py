@@ -9,12 +9,13 @@ every directional derivative Fut_V(W_j) vanishes.
 
 The maximizer is located by Newton iteration with a backtracking line search
 from c = 0 (where F = -1 and the map is smooth). Each point c is evaluated
-once, by the numeric pipeline over a Dual of Duals with the coordinates c_i
-and c_j seeded: one f_numeric call for each of the r(r+1)/2 Hessian entries
-H_ij on or above the diagonal, the diagonal calls also carrying the gradient
-entry Fut_V(W_i) and the value F. All three are exact in the
-automatic-differentiation sense. The start point and each line-search trial
-cost r(r+1)/2 calls, and an accepted trial's derivatives serve the next step.
+by the numeric pipeline over a Dual of Duals with the coordinates c_i and c_j
+seeded: one f_numeric call for each Hessian entry H_ij on or above the
+diagonal, the diagonal calls also carrying the gradient entry Fut_V(W_i) and
+the value F. All three are exact in the automatic-differentiation sense.
+Every point costs the r diagonal calls; only a point a step leaves from pays
+the r(r-1)/2 off-diagonal ones, so the final point and a rejected
+line-search trial never do.
 """
 
 from __future__ import annotations
@@ -127,28 +128,40 @@ def _field(torus, betas, coefficients):
     return combine(torus.basis), combine(betas)
 
 
-def _derivatives(ci, torus, betas, coefficients, bits):
-    """F, its gradient (Fut_V(W_i))_i and its Hessian at the coordinates c.
+def _seeded_call(ci, torus, betas, coefficients, i, j, bits):
+    """f_numeric at c_k -> Dual(Dual(c_k, [k == i]), Dual([k == j], 0)).
 
-    Entry (i, j) on or above the diagonal costs one f_numeric call, with the
-    coordinates seeded as c_k -> Dual(Dual(c_k, [k == i]), Dual([k == j], 0)).
-    The result is Dual(Dual(F, D_i F), Dual(D_j F, H_ij)), so the diagonal
-    calls give the gradient and every call gives F.
+    The result is Dual(Dual(F, D_i F), Dual(D_j F, H_ij)).
     """
-    r = torus.dimension
     one, zero = mpmath.mpf(1), mpmath.mpf(0)
-    grad = [None] * r
+    seeded = [Dual(Dual(c, one if k == i else zero),
+                   Dual(one if k == j else zero, zero))
+              for k, c in enumerate(coefficients)]
+    return f_numeric(ci, *_field(torus, betas, seeded), bits)
+
+
+def _derivatives(ci, torus, betas, coefficients, bits):
+    """F, its gradient (Fut_V(W_i))_i and the Hessian diagonal at c.
+
+    One f_numeric call per coordinate, r in all; F is read from the last.
+    _hessian adds the r(r-1)/2 off-diagonal calls where a step leaves c.
+    """
+    outs = [_seeded_call(ci, torus, betas, coefficients, i, i, bits)
+            for i in range(torus.dimension)]
+    return (outs[-1].value.value, [out.value.derivative for out in outs],
+            [out.derivative.derivative for out in outs])
+
+
+def _hessian(ci, torus, betas, coefficients, diagonal, bits):
+    """The Hessian at c, from its diagonal and one call per entry above it."""
+    r = torus.dimension
     hess = mpmath.matrix(r, r)
     for i in range(r):
-        for j in range(i, r):
-            seeded = [Dual(Dual(c, one if k == i else zero),
-                           Dual(one if k == j else zero, zero))
-                      for k, c in enumerate(coefficients)]
-            out = f_numeric(ci, *_field(torus, betas, seeded), bits)
-            hess[i, j] = hess[j, i] = out.derivative.derivative
-            if i == j:
-                grad[i] = out.value.derivative
-    return out.value.value, grad, hess
+        hess[i, i] = diagonal[i]
+        for j in range(i + 1, r):
+            hess[i, j] = hess[j, i] = _seeded_call(
+                ci, torus, betas, coefficients, i, j, bits).derivative.derivative
+    return hess
 
 
 def find_soliton(ci, tol=1e-10, max_iter=60,
@@ -181,8 +194,8 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
     betas = [derive_weights(ci, vec) for vec in torus.basis]
     with mpmath.workprec(precision_bits + 32):
         coeffs = [mpmath.mpf(0)] * r
-        value, grad, hess = _derivatives(ci, torus, betas, coeffs,
-                                         precision_bits)
+        value, grad, diagonal = _derivatives(ci, torus, betas, coeffs,
+                                             precision_bits)
         iterations = 0
         while True:
             gnorm = max(abs(g) for g in grad)
@@ -191,6 +204,7 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
             if iterations >= max_iter:
                 raise NoConvergence("no convergence", iterations,
                                     tuple(coeffs), gnorm)
+            hess = _hessian(ci, torus, betas, coeffs, diagonal, precision_bits)
             try:
                 step = mpmath.lu_solve(hess, mpmath.matrix([-g for g in grad]))
                 direction = [step[i] for i in range(r)]
@@ -203,7 +217,7 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
             alpha = mpmath.mpf(1)
             while True:
                 trial = [c + alpha * d for c, d in zip(coeffs, direction)]
-                trial_value, trial_grad, trial_hess = _derivatives(
+                trial_value, trial_grad, trial_diagonal = _derivatives(
                     ci, torus, betas, trial, precision_bits)
                 if trial_value >= value + _ARMIJO * alpha * slope:
                     break
@@ -212,7 +226,7 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
                     raise NoConvergence("line search stalled", iterations,
                                         tuple(coeffs), gnorm)
             coeffs, value = trial, trial_value
-            grad, hess = trial_grad, trial_hess
+            grad, diagonal = trial_grad, trial_diagonal
             iterations += 1
 
         lam, weights = _field(torus, betas, coeffs)

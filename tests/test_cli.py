@@ -324,6 +324,19 @@ class TestLimits:
         assert code == 2
         assert error_code(out) == "invalid_input"
 
+    @pytest.mark.parametrize("command", [
+        ["eval"],
+        ["derivative", "--direction",
+         json.dumps({"eigenvalues": ["-7", "5", "1", "1"]})]])
+    def test_t_above_limit_before_the_expression(self, cubic_path, capsys,
+                                                 monkeypatch, command):
+        monkeypatch.setattr(cli, "f_function", refuse_work)
+        monkeypatch.setattr(cli, "fut_derivative", refuse_work)
+        code, out = run(capsys, "--format", "json", command[0], cubic_path,
+                        *command[1:], "--t", "1e101")
+        assert code == 2
+        assert error_code(out) == "invalid_input"
+
     def test_precision_from_environment_above_limit(self, cubic_path, capsys,
                                                     monkeypatch):
         monkeypatch.setattr(cli, "f_function", refuse_work)

@@ -158,6 +158,42 @@ class TestFindSoliton:
         assert info.value.iterations == 0
         assert str(info.value).startswith("line search stalled after 0 iterations")
 
+    def test_rejected_trials_skip_the_off_diagonal_calls(self, monkeypatch):
+        # the stall above on the quadrics (r = 2): the start point, which a
+        # step leaves from, costs 3 calls and each rejected trial only 2
+        derivatives = soliton_mod._derivatives
+        values = iter([mpmath.mpf(0)])
+        trials = []
+        counted = []
+
+        def evaluation(*args):
+            trials.append(args)
+            _, grad, diagonal = derivatives(*args)
+            return next(values, mpmath.mpf(-1)), grad, diagonal
+
+        def counting(*args):
+            counted.append(args)
+            return f_numeric(*args)
+
+        monkeypatch.setattr(soliton_mod, "_derivatives", evaluation)
+        monkeypatch.setattr(soliton_mod, "f_numeric", counting)
+        with pytest.raises(NoConvergence, match="line search stalled"):
+            find_soliton(QUADRICS, tol=1e-10, max_iter=60, precision_bits=64)
+        assert len(trials) > 2
+        assert len(counted) == 3 + 2 * (len(trials) - 1)
+
+    def test_exhausted_budget_skips_the_off_diagonal_calls(self, monkeypatch):
+        counted = []
+
+        def counting(*args):
+            counted.append(args)
+            return f_numeric(*args)
+
+        monkeypatch.setattr(soliton_mod, "f_numeric", counting)
+        with pytest.raises(NoConvergence, match="no convergence"):
+            find_soliton(P4_CUBIC, max_iter=0)
+        assert len(counted) == 3
+
     def test_quadrics_interior_maximum(self):
         result = find_soliton(QUADRICS, tol=1e-9, max_iter=80,
                               precision_bits=192)
@@ -217,8 +253,8 @@ class TestCriticality:
         assert abs(exact_fut(CUBIC, point, 0, 192)) > mpmath.mpf("1e-2")
 
 
-@pytest.fixture(scope="module", params=[(CUBIC, 6, 7), (QUADRICS, 4, 15),
-                                        (P4_CUBIC, 4, 30)],
+@pytest.fixture(scope="module", params=[(CUBIC, 6, 7), (QUADRICS, 4, 14),
+                                        (P4_CUBIC, 4, 27)],
                 ids=["cubic", "quadrics", "p4cubic"])
 def newton_run(request):
     """find_soliton at 64 bits with its f_numeric calls counted.
@@ -244,8 +280,9 @@ class TestExactHessian:
     STEP = F(1, 2 ** 40)
 
     def test_newton_cost(self, newton_run):
-        # r(r+1)/2 depth-2 calls at the start and at each line-search trial,
-        # none rejected; the finite-difference Hessian took 4 r^2 per step
+        # r depth-2 calls at the start and at each line-search trial, none
+        # rejected, and r(r-1)/2 more at each point a step leaves from; the
+        # finite-difference Hessian took 4 r^2 per step
         _, result, depths, expected = newton_run
         assert (result.iterations, len(depths)) == expected
         assert set(depths) == {2}
@@ -261,8 +298,10 @@ class TestExactHessian:
         for point in ([F(0)] * r, [F(float(c)) for c in result.coefficients]):
             with mpmath.workprec(self.BITS + 32):
                 coords = [_to_mpf(c) for c in point]
-                value, grad, hess = soliton_mod._derivatives(
+                value, grad, diagonal = soliton_mod._derivatives(
                     ci, torus, betas, coords, self.BITS)
+                hess = soliton_mod._hessian(ci, torus, betas, coords,
+                                            diagonal, self.BITS)
                 for i in range(r):
                     for j in range(i + 1, r):
                         # seeded with c_j first, then c_i

@@ -16,6 +16,7 @@ from modfutaki import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
+BENCH_PAIRS = ROOT / "scripts" / "bench_pairs.py"
 README = ROOT / "README.md"
 
 
@@ -136,3 +137,47 @@ def test_cli_builds_a_fraction_of_outside_text_only_past_the_digit_bound():
         and not all(literal(arg) for arg in
                     [*node.args, *(k.value for k in node.keywords)])]
     assert unbounded == []
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairsSummary:
+    """The gain rule of scripts/bench_pairs.py, on made-up run values."""
+
+    PARENT = [10.0, 10.2, 9.9, 10.1, 10.3, 9.8, 10.0, 10.4, 9.7, 10.1]
+
+    def test_clear_gain_holds(self):
+        change = [x - 1 for x in self.PARENT]
+        s = load_bench_pairs().summarize(self.PARENT, change, "lower")
+        assert (s["wins"], s["pairs"], s["gain_rule_holds"]) == (10, 10, True)
+        assert s["parent_median"] == pytest.approx(10.05)
+        assert s["change_median"] == pytest.approx(9.05)
+
+    def test_eight_wins_of_ten_do_not_hold(self):
+        change = [x - 1 for x in self.PARENT[:8]] + self.PARENT[8:]
+        s = load_bench_pairs().summarize(self.PARENT, change, "lower")
+        assert (s["wins"], s["gain_rule_holds"]) == (8, False)
+
+    def test_ties_count_for_neither_side(self):
+        change = [x - 1 for x in self.PARENT[:9]] + self.PARENT[9:]
+        s = load_bench_pairs().summarize(self.PARENT, change, "lower")
+        assert (s["wins"], s["gain_rule_holds"]) == (9, True)
+
+    def test_a_shift_inside_the_parents_spread_does_not_hold(self):
+        # every pair won, but by less than the parent's interquartile range
+        change = [x - 0.05 for x in self.PARENT]
+        s = load_bench_pairs().summarize(self.PARENT, change, "lower")
+        q1, q3 = s["parent_quartiles"]
+        assert s["wins"] == 10 and q3 - q1 > 0.05
+        assert not s["gain_rule_holds"]
+
+    def test_higher_is_better(self):
+        change = [x + 1 for x in self.PARENT]
+        pairs = load_bench_pairs()
+        assert pairs.summarize(self.PARENT, change, "higher")["gain_rule_holds"]
+        assert not pairs.summarize(self.PARENT, change, "lower")["wins"]
