@@ -1,13 +1,14 @@
 """Equivariant integrals over projective space via fixed-point localization.
 
-The exact pipeline reduces every integral to confluent divided differences of
-x -> x^i * exp(m*t*x) over the eigenvalue multiset, computed in closed form by
-local series expansion at each distinct node (the residue form of the Hermite
-divided difference). Results are exponential polynomials in t. The series
-run on ints over one denominator per block (fraction-free, as in Bareiss):
-a block of mu equal nodes among n costs O(n*mu) integer products and one
-Fraction per output slot. mixed_integral gathers its coefficients by power i
-first, so that it multiplies each divided difference once.
+Localization integrates a function of the equivariant hyperplane class over
+P^N as its divided difference over the fixed-point weights, so each integral
+is a sum of g_i * DD(x^i * exp(m*t*x)) over the eigenvalue multiset, g the
+polynomial of the intersection's factors. The exact pipeline computes these
+confluent divided differences in closed form by local series expansion at
+each distinct node (the residue form of the Hermite divided difference).
+Results are exponential polynomials in t. The series run on ints over one
+denominator per block (fraction-free, as in Bareiss): a block of mu equal
+nodes among n costs O(n*mu) integer products and one Fraction per output slot.
 
 The numeric pipeline evaluates divided differences through the bidiagonal
 node-matrix representation (nodes on the diagonal, ones above it; the divided
@@ -282,85 +283,39 @@ def _dd_numeric_multi(max_power, m, nodes, precision_bits):
         return out
 
 
-def i0l_numeric_all(ambient_dim, m, eigenvalues, max_l, precision_bits):
-    """Numeric theta-moment integrals for l = 0..max_l at real eigenvalues."""
-    dds = _dd_numeric_multi(max_l, m, list(eigenvalues), precision_bits)
-    out = []
-    with mpmath.workprec(precision_bits + 32):
-        for l in range(max_l + 1):
-            terms = [dds[i] * _to_mpf(_moment_coefficient(ambient_dim, m, l, i))
-                     for i in range(l + 1)]
-            out.append(sum(terms[1:], terms[0]))
-    return out
-
-
 def expand_equivariant_product(degrees, alphas, one):
-    """Expand prod_i (d_i*w + d_i*h - alpha_i) into (w-power, h-power) parts.
+    """Coefficients [g_0..g_k] of g(x) = prod_p (d_p*x - alpha_p), lowest first.
 
-    Generic in the coefficient ring: alphas may be Laurent polynomials (a_i*t,
-    possibly with Dual coefficients) or plain numeric scalars. Returns a map
-    (j, l) -> coefficient with j + l <= len(degrees).
+    Generic in the coefficient ring: alphas may be Fractions, Duals of them,
+    or numeric scalars, and one is the unit the product starts from.
     """
-    coeffs = {(0, 0): one}
+    g = [one]
     for d, alpha in zip(degrees, alphas):
-        new = {}
-
-        def _acc(key, val):
-            new[key] = new[key] + val if key in new else val
-
-        for (j, l), c in coeffs.items():
-            _acc((j + 1, l), d * c)
-            _acc((j, l + 1), d * c)
-            _acc((j, l), -(alpha * c))
-        coeffs = new
-    return coeffs
-
-
-def _integrand(ci, field, k, direction=None):
-    """Expansion of the first k factors prod_i (d_i*w + d_i*h - a_i*t).
-
-    Returns the (j, l) -> LaurentPoly map of expand_equivariant_product. With
-    a direction, each weight a_i carries its tangent and the coefficients are
-    Dual.
-    """
-    weights = field.weights[:k]
-    if direction is None:
-        alphas = [LaurentPoly({1: a}) for a in weights]
-    else:
-        alphas = [LaurentPoly({1: Dual(a, b)})
-                  for a, b in zip(weights, direction.weights)]
-    return expand_equivariant_product(ci.degrees[:k], alphas,
-                                      LaurentPoly({0: Fraction(1)}))
+        g = ([-(alpha * g[0])] + [d * lo - alpha * hi for lo, hi in zip(g, g[1:])]
+             + [d * g[-1]])
+    return g
 
 
 def mixed_integral(ci, field, k, direction=None):
     """Exact integral of e^(m theta) omega^(N-k) over the k-fold intersection.
 
-    The first k equivariant factors are expanded by (w-power, h-power) and
-    integrated against e^(m h) e^(m w) over P^N. Only the top-degree part of
-    e^(m w) survives against each w^j, which turns every (j, l) component into
-    a multiple of the l-th theta-moment: the factor is m^(N-j)/(N-j)! * m^(-l),
-    and the whole is scaled by (N-k)!/m^(N-k). These factors are summed over
-    j, then over l >= i with the moment coefficients, so that each DD_i is
-    multiplied once. With a direction, eigenvalues and weights carry its
-    tangents and the result has Dual coefficients.
+    Localization on P^N integrates a function of the hyperplane class H as its
+    divided difference over the fixed-point weights t*r_i. Here the function
+    is e^(m H) prod_(p<=k) (d_p H - a_p t) = t^k g(H/t) e^(m H), so the level-k
+    integral is (N-k)!/m^(N-k) * t^(k-N) * sum_i g_i DD(x^i e^(m t x); r).
+    With a direction, weights and eigenvalues carry its tangents and the
+    result has Dual coefficients.
     """
     n, m = ci.ambient_dim, ci.fano_index
-    coeffs = _integrand(ci, field, k, direction)
-    max_l = max(l for (_, l) in coeffs)
-    tangents = None if direction is None else direction.eigenvalues
-    dds = _dd_pow_exp_all(max_l, m, field.eigenvalues, tangents)
-    sums = [LaurentPoly() for _ in range(max_l + 1)]
-    for (j, l), c in coeffs.items():
-        kappa = Fraction(m ** (k - j) * factorial(n - k), factorial(n - j) * m ** l)
-        sums[l] = sums[l] + c * kappa
-    total = ExpPoly()
-    for i in range(max_l + 1):
-        fold = LaurentPoly()
-        for l in range(i, max_l + 1):
-            fold = fold + sums[l] * _moment_coefficient(n, m, l, i)
-        total = total + dds[i] * (fold * LaurentPoly({i - n: Fraction(1)}))
-    return total
+    alphas, tangents = field.weights[:k], None
+    if direction is not None:
+        alphas = [Dual(a, b) for a, b in zip(alphas, direction.weights)]
+        tangents = direction.eigenvalues
+    g = expand_equivariant_product(ci.degrees[:k], alphas, Fraction(1))
+    dds = _dd_pow_exp_all(k, m, field.eigenvalues, tangents)
+    scale = Fraction(factorial(n - k), m ** (n - k))
+    return sum((dd * LaurentPoly({k - n: gi * scale}) for gi, dd in zip(g, dds)),
+               ExpPoly())
 
 
 def recursion_step(ci, field, k, prev):

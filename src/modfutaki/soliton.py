@@ -105,16 +105,25 @@ def _nullspace_basis(rows, width):
 
 
 def admissible_torus(ci):
-    """All traceless eigenvalue vectors consistent with every monomial support."""
+    """All traceless eigenvalue vectors consistent with every monomial support.
+
+    The constraint rows (the trace row, and mono - base within a support)
+    enter through their Gram matrix, the sum of row^T row. It has their null
+    space and their row space, so the same reduced basis, and its size is
+    the width, whatever the number of monomials.
+    """
     if ci.supports is None:
         raise ValidationError("the admissible torus requires monomial supports")
     width = ci.ambient_dim + 1
-    rows = [[Fraction(1)] * width]
+    gram = [[1] * width for _ in range(width)]
     for sup in ci.supports:
         base = sup[0]
         for mono in sup[1:]:
-            rows.append([Fraction(a - b) for a, b in zip(mono, base)])
-    return AdmissibleTorus(_nullspace_basis(rows, width))
+            row = [(i, a - b) for i, (a, b) in enumerate(zip(mono, base)) if a != b]
+            for i, x in row:
+                for j, y in row:
+                    gram[i][j] += x * y
+    return AdmissibleTorus(_nullspace_basis(gram, width))
 
 
 def _field(torus, betas, coefficients):

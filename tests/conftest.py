@@ -1,12 +1,17 @@
-"""Shared golden inputs: two worked varieties with known closed forms."""
+"""Shared golden inputs: two worked varieties with known closed forms, random
+varieties and supports, and the two-variable (j, l) assembly of the level
+integrals as a test oracle."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import settings
 
-from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
+from modfutaki import (CompleteIntersectionSpec, DiagonalField, Dual, ExpPoly,
                        LaurentPoly)
+from modfutaki.futaki import _from_top_level
+from modfutaki.localization import _dd_pow_exp_all, _moment_coefficient
 
 # Every @given test draws the same examples on every run, with no timing limit.
 settings.register_profile("modfutaki", derandomize=True, deadline=None)
@@ -91,3 +96,110 @@ def cubic():
 @pytest.fixture
 def quadrics():
     return QUADRICS, QUADRICS_FIELD
+
+
+def random_fano(rng, max_dim=9, max_codim=3):
+    while True:
+        n = rng.randint(2, max_dim)
+        s = rng.randint(0, min(max_codim, n))
+        degrees = [rng.randint(1, 3) for _ in range(s)]
+        if sum(degrees) <= n:
+            return CompleteIntersectionSpec.create(n, degrees)
+
+
+def random_supports(rng, ci, max_monomials):
+    """ci with random supports of 1..max_monomials exponent vectors each."""
+    width = ci.ambient_dim + 1
+    supports = []
+    for d in ci.degrees:
+        sup = []
+        for _ in range(rng.randint(1, max_monomials)):
+            mono = [0] * width
+            for _ in range(d):
+                mono[rng.randrange(width)] += 1
+            sup.append(mono)
+        supports.append(sup)
+    return CompleteIntersectionSpec.create(ci.ambient_dim, list(ci.degrees),
+                                           supports)
+
+
+def constraint_rows(ci):
+    """The trace row, and mono - base for each further monomial of a support."""
+    rows = [[1] * (ci.ambient_dim + 1)]
+    for sup in ci.supports:
+        rows += [[a - b for a, b in zip(mono, sup[0])] for mono in sup[1:]]
+    return rows
+
+
+def expand_two_variable(degrees, alphas, one):
+    """Expand prod_i (d_i*w + d_i*h - alpha_i) into (w-power, h-power) parts.
+
+    Generic in the coefficient ring, like expand_equivariant_product. Returns
+    a map (j, l) -> coefficient with j + l <= len(degrees).
+    """
+    coeffs = {(0, 0): one}
+    for d, alpha in zip(degrees, alphas):
+        new = {}
+
+        def _acc(key, val):
+            new[key] = new[key] + val if key in new else val
+
+        for (j, l), c in coeffs.items():
+            _acc((j + 1, l), d * c)
+            _acc((j, l + 1), d * c)
+            _acc((j, l), -(alpha * c))
+        coeffs = new
+    return coeffs
+
+
+def expand_integrand(ci, field, k, direction=None):
+    """Expansion of the first k factors prod_i (d_i*w + d_i*h - a_i*t).
+
+    Returns the (j, l) -> LaurentPoly map of expand_two_variable. With a
+    direction, each weight a_i carries its tangent and the coefficients are
+    Dual.
+    """
+    weights = field.weights[:k]
+    if direction is None:
+        alphas = [LaurentPoly({1: a}) for a in weights]
+    else:
+        alphas = [LaurentPoly({1: Dual(a, b)})
+                  for a, b in zip(weights, direction.weights)]
+    return expand_two_variable(ci.degrees[:k], alphas, LaurentPoly({0: F(1)}))
+
+
+def moments_by_l(n, m, eigenvalues, max_l, tangents=None):
+    """The theta-moments I_0..I_max_l, each its own sum over i of DD_i terms."""
+    dds = _dd_pow_exp_all(max_l, m, eigenvalues, tangents)
+    out = []
+    for l in range(max_l + 1):
+        total = ExpPoly()
+        for i in range(l + 1):
+            total = total + dds[i] * LaurentPoly(
+                {i - n: _moment_coefficient(n, m, l, i)})
+        out.append(total)
+    return out
+
+
+def jl_kappa(n, m, k, j, l):
+    """Factor of the (j, l) part against the l-th theta-moment at level k.
+
+    Only the top-degree part of e^(m w) survives against w^j, and the level
+    is scaled by (N-k)!/m^(N-k).
+    """
+    return F(m ** (k - j) * factorial(n - k), factorial(n - j) * m ** l)
+
+
+def jl_mixed_integral(ci, field, k, direction=None):
+    """The level-k integral as the sum over (j, l) of kappa * c_jl * I_l."""
+    n, m = ci.ambient_dim, ci.fano_index
+    coeffs = expand_integrand(ci, field, k, direction)
+    moments = moments_by_l(n, m, field.eigenvalues, max(l for _, l in coeffs),
+                           None if direction is None else direction.eigenvalues)
+    return sum((moments[l] * c * jl_kappa(n, m, k, j, l)
+                for (j, l), c in coeffs.items()), ExpPoly())
+
+
+def jl_f_function(ci, field):
+    """F(V) from the (j, l) assembly of the top-level integral."""
+    return _from_top_level(ci, field, jl_mixed_integral(ci, field, ci.codim))

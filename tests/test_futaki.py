@@ -8,6 +8,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, Dual, ExpPoly,
                        InadmissibleDirection, LaurentPoly, PrecisionNotReached,
@@ -15,20 +17,11 @@ from modfutaki import (CompleteIntersectionSpec, DiagonalField, Dual, ExpPoly,
                        f_function_via_recursion, f_numeric, fut_derivative)
 from modfutaki import cli, convergence_report, exactalg, find_soliton, fk
 from modfutaki.geometry import ValidationError
-from modfutaki.localization import _integrand
 from modfutaki.soliton import NoConvergence, admissible_torus
 
 from conftest import (CUBIC, CUBIC_F, CUBIC_FIELD, QUADRICS, QUADRICS_F,
-                      QUADRICS_FIELD)
-
-
-def random_fano(rng, max_dim=9, max_codim=3):
-    while True:
-        n = rng.randint(2, max_dim)
-        s = rng.randint(0, min(max_codim, n))
-        degrees = [rng.randint(1, 3) for _ in range(s)]
-        if sum(degrees) <= n:
-            return CompleteIntersectionSpec.create(n, degrees)
+                      QUADRICS_FIELD, constraint_rows, expand_integrand,
+                      jl_f_function, random_fano, random_supports)
 
 
 def random_field(rng, ci):
@@ -49,18 +42,18 @@ def torus_field(ci, coeffs):
 
 class TestExpandIntegrand:
     def test_cubic_single_factor(self):
-        mixed = _integrand(CUBIC, CUBIC_FIELD, CUBIC.codim)
+        mixed = expand_integrand(CUBIC, CUBIC_FIELD, CUBIC.codim)
         assert mixed[(1, 0)] == LaurentPoly({0: F(3)})
         assert mixed[(0, 1)] == LaurentPoly({0: F(3)})
         assert mixed[(0, 0)] == LaurentPoly({1: F(-3)})
 
     def test_empty_product(self):
         ci = CompleteIntersectionSpec.create(2, [])
-        mixed = _integrand(ci, DiagonalField.zero(ci), ci.codim)
+        mixed = expand_integrand(ci, DiagonalField.zero(ci), ci.codim)
         assert mixed == {(0, 0): LaurentPoly({0: F(1)})}
 
     def test_quadrics_product(self):
-        mixed = _integrand(QUADRICS, QUADRICS_FIELD, QUADRICS.codim)
+        mixed = expand_integrand(QUADRICS, QUADRICS_FIELD, QUADRICS.codim)
         assert mixed[(2, 0)] == LaurentPoly({0: F(4)})
         assert mixed[(1, 1)] == LaurentPoly({0: F(8)})
         assert mixed[(0, 2)] == LaurentPoly({0: F(4)})
@@ -73,7 +66,7 @@ class TestExpandIntegrand:
         for _ in range(5):
             ci = random_fano(rng, max_dim=6)
             field = random_field(rng, ci)
-            mixed = _integrand(ci, field, ci.codim)
+            mixed = expand_integrand(ci, field, ci.codim)
             s = ci.codim
             for (j, l), c in mixed.items():
                 assert j + l <= s
@@ -117,6 +110,34 @@ class TestFunctional:
             ci = random_fano(rng, max_dim=6)
             field = random_field(rng, ci)
             assert f_function(ci, field).limit_at_zero() == -1
+
+
+class TestCrossPaths:
+    """Random small Fano complete intersections whose random supports leave a
+    nontrivial torus, with fields drawn on that torus."""
+
+    BITS = 128
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_the_paths_agree(self, seed):
+        rng = random.Random(seed)
+        while True:
+            ci = random_supports(rng, random_fano(rng, max_dim=6), 3)
+            torus = admissible_torus(ci)
+            if ci.codim and torus.dimension:
+                break
+        for vec in torus.basis:
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0
+                       for row in constraint_rows(ci))
+        field = torus_field(ci, [F(rng.randint(-6, 6), rng.randint(1, 4))
+                                 for _ in torus.basis])
+        exact = f_function(ci, field)
+        assert exact == f_function_via_recursion(ci, field)
+        assert exact == jl_f_function(ci, field)
+        ref = exact.evaluate(1, self.BITS)
+        num = f_numeric(ci, field.eigenvalues, field.weights, self.BITS)
+        assert abs(num - ref) <= mpmath.mpf(2) ** -(self.BITS - 16) * abs(ref)
 
 
 class TestDirectionalDerivative:

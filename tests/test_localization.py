@@ -16,11 +16,13 @@ from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
 from modfutaki.exactalg import Dual, PrecisionNotReached, _to_mpf, primal
 from modfutaki.futaki import f_numeric
 from modfutaki.localization import (_dd_numeric_multi, _dd_pow_exp_all,
-                                    _integrand, _moment_coefficient,
-                                    i0l_numeric_all, mixed_integral)
+                                    _moment_coefficient,
+                                    expand_equivariant_product, mixed_integral)
 
 from conftest import (CUBIC, CUBIC_FIELD, CUBIC_I00, CUBIC_I01, QUADRICS,
-                      QUADRICS_FIELD, QUADRICS_I00, QUADRICS_I01, QUADRICS_I02)
+                      QUADRICS_FIELD, QUADRICS_I00, QUADRICS_I01, QUADRICS_I02,
+                      expand_two_variable, jl_kappa, jl_mixed_integral,
+                      moments_by_l)
 
 
 def random_fraction(rng, lo=-8, hi=8, den=4):
@@ -153,14 +155,41 @@ class TestNumeric:
             scale = max(1, abs(sym))
             assert abs(num - sym) / scale < mpmath.mpf(2) ** -(256 - 16)
 
-    def test_moment_assembly_matches_symbolic(self):
-        rng = random.Random(9)
-        lam = [random_fraction(rng) for _ in range(5)]
-        moments = i0l_numeric_all(4, 2, lam, 2, 256)
-        with mpmath.workprec(300):
-            for l in range(3):
-                sym = i0l_symbolic(4, 2, tuple(lam), l).evaluate(1, 256)
-                assert abs(moments[l] - sym) < mpmath.mpf(2) ** -220 * (1 + abs(sym))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_divided_difference_sum_matches_the_moment_assembly(self, seed):
+        # on the same numeric DD_i: sum_i g_i DD_i * (N-s)!/m^(N-s) against
+        # the sum over (j, l) of kappa * c_jl * I_l, I_l = sum_i coef DD_i
+        rng = random.Random(600 + seed)
+        degrees = [rng.randint(1, 3) for _ in range(1 + seed % 3)]
+        n = rng.randint(max(2, sum(degrees)), 9)
+        ci = CompleteIntersectionSpec.create(n, degrees)
+        s, m, bits = ci.codim, ci.fano_index, 256
+        with mpmath.workprec(bits + 64):
+            lam = [_to_mpf(random_fraction(rng)) for _ in range(n + 1)]
+            alphas = [_to_mpf(random_fraction(rng)) for _ in degrees]
+            one = mpmath.mpf(1)
+            if seed % 2:  # depth-1 Dual inputs
+                lam = [Dual(x, _to_mpf(random_fraction(rng))) for x in lam]
+                alphas = [Dual(a, _to_mpf(random_fraction(rng))) for a in alphas]
+                one = Dual(one, mpmath.mpf(0))
+            dds = _dd_numeric_multi(s, m, lam, bits + 64)
+            g = expand_equivariant_product(degrees, alphas, one)
+            scale = _to_mpf(F(factorial(n - s), m ** (n - s)))
+            direct = sum((gi * dd for gi, dd in zip(g, dds)), one * 0) * scale
+            moments = [sum((dds[i] * _to_mpf(_moment_coefficient(n, m, l, i))
+                            for i in range(l + 1)), one * 0)
+                       for l in range(s + 1)]
+            assembled = sum((c * _to_mpf(jl_kappa(n, m, s, j, l)) * moments[l]
+                             for (j, l), c in expand_two_variable(
+                                 degrees, alphas, one).items()), one * 0)
+            for a, b in zip(slots(direct), slots(assembled)):
+                assert abs(a - b) <= mpmath.mpf(2) ** -(bits + 32) * abs(a), \
+                    (seed, a, b)
+
+
+def slots(x):
+    """The plain slots of x, a Dual flattened value first."""
+    return slots(x.value) + slots(x.derivative) if isinstance(x, Dual) else [x]
 
 
 def repeated_nodes(rng, n):
@@ -220,19 +249,6 @@ class TestExactKernel:
             assert full[i] == full[i - 1] * nodes[0] + tail[i - 1], (nodes, i)
 
 
-def moments_by_l(n, m, eigenvalues, max_l, tangents=None):
-    """The theta-moments I_0..I_max_l, each its own sum over i of DD_i terms."""
-    dds = _dd_pow_exp_all(max_l, m, eigenvalues, tangents)
-    out = []
-    for l in range(max_l + 1):
-        total = ExpPoly()
-        for i in range(l + 1):
-            total = total + dds[i] * LaurentPoly(
-                {i - n: _moment_coefficient(n, m, l, i)})
-        out.append(total)
-    return out
-
-
 class TestMixedIntegralAssembly:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_the_sum_over_each_integrand_term(self, seed):
@@ -251,21 +267,11 @@ class TestMixedIntegralAssembly:
         direction = DiagonalField.create(
             tangents, [random_fraction(rng) for _ in degrees])
         for k in range(ci.codim + 1):
+            assert moments_by_l(n, m, field.eigenvalues, k) == \
+                [i0l_symbolic(n, m, field.eigenvalues, l) for l in range(k + 1)]
             for along in (None, direction):
-                coeffs = _integrand(ci, field, k, along)
-                max_l = max(l for (_, l) in coeffs)
-                moments = moments_by_l(
-                    n, m, field.eigenvalues, max_l,
-                    None if along is None else along.eigenvalues)
-                if along is None:
-                    assert moments == [i0l_symbolic(n, m, field.eigenvalues, l)
-                                       for l in range(max_l + 1)]
-                expected = ExpPoly()
-                for (j, l), c in coeffs.items():
-                    kappa = F(m ** (k - j) * factorial(n - k),
-                              factorial(n - j) * m ** l)
-                    expected = expected + moments[l] * c * kappa
-                assert mixed_integral(ci, field, k, along) == expected, (k, along)
+                assert mixed_integral(ci, field, k, along) == \
+                    jl_mixed_integral(ci, field, k, along), (k, along)
 
 
 def kernel_nodes(rng, n, kind):

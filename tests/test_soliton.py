@@ -1,5 +1,6 @@
 """Admissible torus and the concave maximization of the functional."""
 
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -13,7 +14,8 @@ from modfutaki.exactalg import _to_mpf
 from modfutaki.futaki import _depth, f_numeric
 from modfutaki.geometry import ValidationError
 
-from conftest import CUBIC, FERMAT_CUBIC, P4_CUBIC, QUADRICS
+from conftest import (CUBIC, FERMAT_CUBIC, P4_CUBIC, QUADRICS, constraint_rows,
+                      random_fano, random_supports)
 
 
 def colinear(u, v):
@@ -57,6 +59,16 @@ def bisect_cubic_critical(precision=300):
 
 
 class TestAdmissibleTorus:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gram_matrix_gives_the_basis_of_the_rows(self, seed):
+        # the rows' Gram matrix has their null space and row space, so the
+        # same reduced basis as eliminating the rows themselves
+        rng = random.Random(700 + seed)
+        for _ in range(50):
+            ci = random_supports(rng, random_fano(rng), 2 + seed * 4)
+            assert admissible_torus(ci).basis == soliton_mod._nullspace_basis(
+                constraint_rows(ci), ci.ambient_dim + 1)
+
     def test_cubic_line(self):
         torus = admissible_torus(CUBIC)
         assert torus.dimension == 1
