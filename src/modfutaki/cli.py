@@ -14,7 +14,7 @@ by binary floats):
 Exit codes are a stable contract: 0 ok, 2 input/validation error,
 3 evaluation error (a pole, code evaluation_error; or a sum that missed the
 requested precision after every guard pass, code precision_not_reached),
-4 solver failure, 5 verification failure.
+4 solver failure, 5 verification failure, 141 stdout closed early.
 
 Sizes are bounded so that no input runs without limit: ambient_dim must be
 at most 64, --precision (and FUTAKI_PRECISION_BITS) must lie in 64..4096
@@ -57,6 +57,7 @@ EXIT_INVALID = 2
 EXIT_EVAL = 3
 EXIT_SOLVER = 4
 EXIT_VERIFY = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports it; no traceback
 
 MIN_PRECISION_BITS = 64
 MAX_PRECISION_BITS = 4096
@@ -455,6 +456,16 @@ def _join_negative_t(argv):
 
 
 def main(argv=None):
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # so the flush at exit writes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    return code
+
+
+def _run(argv):
     parser = build_parser(os.environ.get("FUTAKI_PRECISION_BITS",
                                          str(DEFAULT_PRECISION_BITS)))
     args = argparse.Namespace()

@@ -83,7 +83,9 @@ class Dual:
     ``x + u*eps1 + v*eps2``: through a computation f, the ``value`` slot
     becomes ``Dual(f, D_u f)`` and the ``derivative`` slot
     ``Dual(D_v f, D_u D_v f)``. Every Dual in one computation has the same
-    depth.
+    depth. Plain operands are not lifted: a zero derivative costs products.
+    +, * and >> unroll one level of the hyper-dual product (Fike and Alonso,
+    AIAA 2011-886) in the recursion's order of operations: no rounding moves.
     """
 
     __slots__ = ("value", "derivative")
@@ -102,34 +104,45 @@ class Dual:
 
     __hash__ = None
 
-    # A plain scalar operand is never lifted to a Dual: its zero derivative
-    # would cost two extra multiplications and an addition per operation.
     def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value + other.value, self.derivative + other.derivative)
-        return Dual(self.value + other, self.derivative)
+        a, b = self.value, self.derivative
+        if not isinstance(other, Dual):
+            return Dual(a + other, b)
+        c, d = other.value, other.derivative
+        if type(a) is Dual is type(b) is type(c) is type(d):
+            return Dual(Dual(a.value + c.value, a.derivative + c.derivative),
+                        Dual(b.value + d.value, b.derivative + d.derivative))
+        return Dual(a + c, b + d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value - other.value, self.derivative - other.derivative)
-        return Dual(self.value - other, self.derivative)
+        return self + -other
 
     def __neg__(self):
         return Dual(-self.value, -self.derivative)
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.value * other.value,
-                        self.value * other.derivative + self.derivative * other.value)
-        return Dual(self.value * other, self.derivative * other)
+        a, b = self.value, self.derivative
+        if not isinstance(other, Dual):
+            return Dual(a * other, b * other)
+        c, d = other.value, other.derivative
+        if type(a) is Dual is type(b) is type(c) is type(d):
+            a0, a1, b0, b1 = a.value, a.derivative, b.value, b.derivative
+            c0, c1, d0, d1 = c.value, c.derivative, d.value, d.derivative
+            return Dual(Dual(a0 * c0, a0 * c1 + a1 * c0), Dual(
+                a0 * d0 + b0 * c0, a0 * d1 + a1 * d0 + (b0 * c1 + b1 * c0)))
+        return Dual(a * c, a * d + b * c)
 
     __rmul__ = __mul__
 
     def __rshift__(self, shift):
         """Floor shift of every slot, for Duals of ints in fixed point."""
-        return Dual(self.value >> shift, self.derivative >> shift)
+        a, b = self.value, self.derivative
+        if type(a) is Dual is type(b):
+            return Dual(Dual(a.value >> shift, a.derivative >> shift),
+                        Dual(b.value >> shift, b.derivative >> shift))
+        return Dual(a >> shift, b >> shift)
 
     def __truediv__(self, other):
         if isinstance(other, Dual):

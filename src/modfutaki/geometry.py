@@ -178,7 +178,7 @@ def derive_weights(ci, eigenvalues):
             f"expected {ci.ambient_dim + 1} eigenvalues, got {len(eigenvalues)}")
     out = []
     for i, sup in enumerate(ci.supports):
-        vals = [sum(a * lam for a, lam in zip(mono, eigenvalues)) for mono in sup]
+        vals = [sum(a * x for a, x in zip(mono, eigenvalues) if a) for mono in sup]
         first = vals[0]
         for mono, v in zip(sup, vals):
             if v != first:

@@ -14,16 +14,10 @@ The numeric pipeline evaluates divided differences through the bidiagonal
 node-matrix representation (nodes on the diagonal, ones above it; the divided
 difference is the top-right entry of the matrix function), which is stable for
 clustered and coincident nodes where the Lagrange form cancels catastrophically.
-For n nodes the kernel never forms a dense product: each Taylor (Horner) step
-multiplies by the bidiagonal matrix, O(n^2); each squaring multiplies upper
-triangular matrices, about n^3/6 products, and the last forms only the last
-column, O(n^2); each further power x^i costs O(n). The Taylor steps and the
-squarings run on Python ints in fixed point, at a word size of the working
-precision plus sigma, log2((n-1)!), (n-1) * (sigma - log2 m) when positive,
-and 16 bits (sigma the number of squarings), so that rounding keeps every
-entry at the working precision. The Taylor degree bounds the truncation only
-absolutely, by 2^-(precision+8): 25 nodes at -7 + j 2^-20 keep 30 of 64 bits.
-f_numeric's 64 guard bits cover that case, the caller's guard other losses.
+Its scaling and squaring runs on Python ints in fixed point and never forms a
+dense product (_expm_last_column); each further power x^i costs O(n). The
+Taylor degree bounds the truncation only absolutely, by 2^-(precision+8): 25
+nodes at -7 + j 2^-20 keep 30 of 64 bits, which f_numeric's 64 guard bits cover.
 """
 
 from __future__ import annotations
@@ -32,6 +26,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 
 import mpmath
+from mpmath.libmp import from_man_exp, mpf_shift, to_int
 
 from .exactalg import Dual, ExpPoly, LaurentPoly, _to_mpf, primal, slotwise
 from .geometry import validate
@@ -162,23 +157,38 @@ def _mag(x):
     return abs(x)
 
 
+def _taylor_degree(p):
+    """The least d >= 2 with 2^(p+8-d) <= (d+1)!: then the tail of
+    sum_(j>d) 2^-j/j!, under 2^-d/(d+1)!, is at most 2^-(p+8). Rounding
+    2^-d/(d+1)! to p bits, as a former mpf loop did, moves d only if
+    0 < 2^(p+8-d) - (d+1)! <= 2^(8-d), which the 2-part of (d+1)! rules out
+    for d >= 5 and for every p but 3.
+    """
+    degree, fact = 2, 6
+    while fact.bit_length() <= p + 8 - degree:
+        degree, fact = degree + 1, fact * (degree + 2)
+    return degree
+
+
 def _expm_last_column(diag, sup, precision_bits):
     """Last column of exp(B) for the upper bidiagonal B = diag(diag) + sup*J.
 
     J has ones just above the diagonal, and the diag entries are all Dual or
-    all mpf. Scaling and squaring: B/2^sigma has row-sum norm at most 1/2,
-    and the Taylor degree holds the truncation under 2^-(precision_bits + 8)
-    in absolute terms only, so an entry far smaller than that loses relative
-    bits to it (the near-confluent case of the module docstring).
+    all mpf. sigma, from the binary exponent of the row-sum norm, is the
+    fewest (exact) halvings to bring it to 1/2. The Taylor degree holds the
+    truncation under 2^-(precision_bits + 8) in absolute terms only, so an
+    entry far smaller loses relative bits to it (the near-confluent case of
+    the module docstring).
     Upper-triangular matrices are stored by rows from the diagonal on (row i
     holds columns i..n-1). Each Horner step multiplies by the bidiagonal B,
     O(n^2); each squaring multiplies upper-triangular matrices, O(n^3/6), and
     the last one forms only the last column, O(n^2).
 
     Both loops run in fixed point: an entry is an int, or a Dual of ints,
-    that stands for itself times 2^-W. A Horner step divides by j by scaling
-    sup and each diag entry once by 2^W // j, then shifting each new entry
-    by 2W; a squaring shifts each entry back by W. The word size is
+    that stands for itself times 2^-W: an mpf enters truncated toward zero,
+    as int() truncates, and leaves exactly. A Horner step divides by j by
+    scaling sup and each diag entry once by 2^W // j, then shifting each new
+    entry by 2W; a squaring shifts each entry back by W. The word size is
 
         W = precision_bits + sigma + ceil(log2((n-1)!))
             + (n-1) * max(0, sigma - floor(log2|sup|)) + 16.
@@ -202,25 +212,15 @@ def _expm_last_column(diag, sup, precision_bits):
     n = len(diag)
     norm = max(_mag(d) + _mag(sup) if i + 1 < n else _mag(d)
                for i, d in enumerate(diag))
-    sigma = 0
-    while norm > mpmath.mpf("0.5"):
-        norm = norm / 2
-        sigma += 1
-
-    # tail of sum_{j>J} (1/2)^j / j! is below 2*(1/2)^(J+1)/(J+1)!
-    degree = 1
-    tail = mpmath.mpf(1)
-    target = mpmath.mpf(2) ** (-(precision_bits + 8))
-    while tail > target:
-        degree += 1
-        tail = 2 * mpmath.mpf(2) ** (-(degree + 1)) / factorial(degree + 1)
-
+    mantissa, exponent = mpmath.frexp(norm)
+    sigma = max(0, exponent + (mantissa > 0.5))
+    degree = _taylor_degree(precision_bits)
     # ceil(log2((n-1)!)), and floor(log2|sup|) is frexp's exponent less one
     word = (precision_bits + sigma + (factorial(n - 1) - 1).bit_length()
             + (n - 1) * max(0, sigma - mpmath.frexp(sup)[1] + 1) + 16)
 
-    def fixed(x):  # x * 2^(word - sigma), truncated to an int
-        return int(mpmath.ldexp(x, word - sigma))
+    def fixed(x):  # int(ldexp(x, word - sigma)) on the raw mpf
+        return to_int(mpf_shift(x._mpf_, word - sigma))
 
     diag = [slotwise(fixed, d) for d in diag]
     sup = slotwise(fixed, sup)
@@ -248,7 +248,8 @@ def _expm_last_column(diag, sup, precision_bits):
         column = [square_entry(out, i, n - 1) for i in range(n)]
     else:
         column = [row[-1] for row in out]
-    return [slotwise(lambda x: mpmath.ldexp(x, -word), c) for c in column]
+    return [slotwise(lambda x: mpmath.mp.make_mpf(from_man_exp(x, -word)), c)
+            for c in column]
 
 
 def _dd_numeric_multi(max_power, m, nodes, precision_bits):
@@ -257,12 +258,9 @@ def _dd_numeric_multi(max_power, m, nodes, precision_bits):
     With Z the node matrix, the i-th divided difference is the top entry of
     Z^i exp(m Z) e_n. The exponential is taken of m (Z - c) around the node
     mean c, and the powers follow from the recurrence col <- Z col, O(n) each.
-    The nodes are all Duals of one depth or all plain. precision_bits is the
-    working precision: the kernel adds 2*sigma_guess bits for the squarings,
-    and the exponential runs on ints at a word size of that precision plus
-    sigma + ceil(log2((n-1)!)) + (n-1)*max(0, sigma - floor(log2 m)) + 16 bits
-    (see _expm_last_column). Any further loss is for the caller's guard to
-    cover.
+    The nodes are all Duals of one depth or all plain. The kernel works at
+    precision_bits plus 2*sigma_guess bits for the squarings (_expm_last_column
+    has its word size); any further loss is for the caller's guard to cover.
     """
     n = len(nodes)
     norm_guess = 1 + abs(m) * max(float(abs(_to_mpf(primal(x)))) for x in nodes)

@@ -15,7 +15,7 @@ diagonal, the diagonal calls also carrying the gradient entry Fut_V(W_i) and
 the value F. All three are exact in the automatic-differentiation sense.
 Every point costs the r diagonal calls; only a point a step leaves from pays
 the r(r-1)/2 off-diagonal ones, so the final point and a rejected
-line-search trial never do.
+line-search trial never do. The basis and betas become mpf once per solve.
 """
 
 from __future__ import annotations
@@ -126,18 +126,15 @@ def admissible_torus(ci):
     return AdmissibleTorus(_nullspace_basis(gram, width))
 
 
-def _field(torus, betas, coefficients):
+def _field(basis, betas, coefficients):
     """Eigenvalues and weights of sum_k c_k (vec_k, beta_k); c_k mpf or Duals."""
     def combine(vectors):
-        out = []
-        for entries in zip(*vectors):
-            terms = [c * _to_mpf(x) for c, x in zip(coefficients, entries)]
-            out.append(sum(terms[1:], terms[0]))
-        return out
-    return combine(torus.basis), combine(betas)
+        return [sum((c * x for c, x in zip(coefficients[1:], entries[1:])),
+                    coefficients[0] * entries[0]) for entries in zip(*vectors)]
+    return combine(basis), combine(betas)
 
 
-def _seeded_call(ci, torus, betas, coefficients, i, j, bits):
+def _seeded_call(ci, basis, betas, coefficients, i, j, bits):
     """f_numeric at c_k -> Dual(Dual(c_k, [k == i]), Dual([k == j], 0)).
 
     The result is Dual(Dual(F, D_i F), Dual(D_j F, H_ij)).
@@ -146,30 +143,30 @@ def _seeded_call(ci, torus, betas, coefficients, i, j, bits):
     seeded = [Dual(Dual(c, one if k == i else zero),
                    Dual(one if k == j else zero, zero))
               for k, c in enumerate(coefficients)]
-    return f_numeric(ci, *_field(torus, betas, seeded), bits)
+    return f_numeric(ci, *_field(basis, betas, seeded), bits)
 
 
-def _derivatives(ci, torus, betas, coefficients, bits):
+def _derivatives(ci, basis, betas, coefficients, bits):
     """F, its gradient (Fut_V(W_i))_i and the Hessian diagonal at c.
 
     One f_numeric call per coordinate, r in all; F is read from the last.
     _hessian adds the r(r-1)/2 off-diagonal calls where a step leaves c.
     """
-    outs = [_seeded_call(ci, torus, betas, coefficients, i, i, bits)
-            for i in range(torus.dimension)]
+    outs = [_seeded_call(ci, basis, betas, coefficients, i, i, bits)
+            for i in range(len(basis))]
     return (outs[-1].value.value, [out.value.derivative for out in outs],
             [out.derivative.derivative for out in outs])
 
 
-def _hessian(ci, torus, betas, coefficients, diagonal, bits):
+def _hessian(ci, basis, betas, coefficients, diagonal, bits):
     """The Hessian at c, from its diagonal and one call per entry above it."""
-    r = torus.dimension
+    r = len(basis)
     hess = mpmath.matrix(r, r)
     for i in range(r):
         hess[i, i] = diagonal[i]
         for j in range(i + 1, r):
             hess[i, j] = hess[j, i] = _seeded_call(
-                ci, torus, betas, coefficients, i, j, bits).derivative.derivative
+                ci, basis, betas, coefficients, i, j, bits).derivative.derivative
     return hess
 
 
@@ -200,10 +197,11 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
             gradient=(), gradient_norm=zero,
             f_value=mpmath.mpf(-1), iterations=0)
 
-    betas = [derive_weights(ci, vec) for vec in torus.basis]
     with mpmath.workprec(precision_bits + 32):
+        basis = [[_to_mpf(x) for x in vec] for vec in torus.basis]
+        betas = [[_to_mpf(x) for x in derive_weights(ci, vec)] for vec in torus.basis]
         coeffs = [mpmath.mpf(0)] * r
-        value, grad, diagonal = _derivatives(ci, torus, betas, coeffs,
+        value, grad, diagonal = _derivatives(ci, basis, betas, coeffs,
                                              precision_bits)
         iterations = 0
         while True:
@@ -213,7 +211,7 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
             if iterations >= max_iter:
                 raise NoConvergence("no convergence", iterations,
                                     tuple(coeffs), gnorm)
-            hess = _hessian(ci, torus, betas, coeffs, diagonal, precision_bits)
+            hess = _hessian(ci, basis, betas, coeffs, diagonal, precision_bits)
             try:
                 step = mpmath.lu_solve(hess, mpmath.matrix([-g for g in grad]))
                 direction = [step[i] for i in range(r)]
@@ -227,7 +225,7 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
             while True:
                 trial = [c + alpha * d for c, d in zip(coeffs, direction)]
                 trial_value, trial_grad, trial_diagonal = _derivatives(
-                    ci, torus, betas, trial, precision_bits)
+                    ci, basis, betas, trial, precision_bits)
                 if trial_value >= value + _ARMIJO * alpha * slope:
                     break
                 alpha = alpha / 2
@@ -238,7 +236,7 @@ def find_soliton(ci, tol=1e-10, max_iter=60,
             grad, diagonal = trial_grad, trial_diagonal
             iterations += 1
 
-        lam, weights = _field(torus, betas, coeffs)
+        lam, weights = _field(basis, betas, coeffs)
         return SolitonResult(
             trivial=False, coefficients=tuple(coeffs),
             eigenvalues=tuple(lam), weights=tuple(weights),

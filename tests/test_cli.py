@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -285,6 +287,36 @@ class TestMalformedInput:
                         "--direction", json.dumps({"eigenvalues": 5}))
         assert code == 2
         assert error_code(out) == "invalid_input"
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early gets no traceback and exit 141."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("doc", [CUBIC_DOC, {"ambient_dim": 3, "degrees": [4]}],
+                             ids=["output", "error document"])
+    def test_no_traceback(self, tmp_path, doc, unbuffered):
+        # buffered, the write fails at the last flush; unbuffered, in print
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.join(self.ROOT, "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "modfutaki.cli", "--format", "json",
+                 "check", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr == b""
+        assert proc.returncode == cli.EXIT_PIPE == 141
 
 
 class TestPrecisionNotReached:

@@ -203,6 +203,98 @@ class TestDual:
         assert x >> 3 == Dual(Dual(1, -2), Dual(-1, 128))
 
 
+class RecursiveDual:
+    """Dual's arithmetic as plain recursion, one level per call: the
+    reference for the operators that write one level of nesting out."""
+
+    __slots__ = ("value", "derivative")
+
+    def __init__(self, value, derivative=0):
+        self.value = value
+        self.derivative = derivative
+
+    def __add__(self, other):
+        if isinstance(other, RecursiveDual):
+            return RecursiveDual(self.value + other.value,
+                                 self.derivative + other.derivative)
+        return RecursiveDual(self.value + other, self.derivative)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, RecursiveDual):
+            return RecursiveDual(self.value - other.value,
+                                 self.derivative - other.derivative)
+        return RecursiveDual(self.value - other, self.derivative)
+
+    def __mul__(self, other):
+        if isinstance(other, RecursiveDual):
+            return RecursiveDual(self.value * other.value,
+                                 self.value * other.derivative
+                                 + self.derivative * other.value)
+        return RecursiveDual(self.value * other, self.derivative * other)
+
+    __rmul__ = __mul__
+
+    def __rshift__(self, shift):
+        return RecursiveDual(self.value >> shift, self.derivative >> shift)
+
+
+def shape(x):
+    """x as nested tuples of slots: each slot's type and its value or _mpf_."""
+    if isinstance(x, (Dual, RecursiveDual)):
+        return (shape(x.value), shape(x.derivative))
+    return type(x).__name__, x._mpf_ if isinstance(x, mpmath.mpf) else x
+
+
+@st.composite
+def dual_operands(draw):
+    """Two operands of one depth (1-3) and a plain scalar, all of one kind.
+
+    A ragged operand has a plain derivative slot at its top, as
+    Dual(Dual(x, u)) does, so the operators' fallback runs as well.
+    """
+    kind = draw(st.sampled_from(["int", "fraction", "mpf"]))
+    depth = draw(st.integers(1, 3))
+
+    def scalar():
+        n = draw(st.integers(-10 ** 6, 10 ** 6))
+        if kind == "int":
+            return n
+        d = draw(st.integers(1, 10 ** 4))
+        return F(n, d) if kind == "fraction" else mpmath.mpf(n) / d
+
+    def tree(level):
+        return scalar() if level == 0 else (tree(level - 1), tree(level - 1))
+
+    def ragged(t):
+        return (t[0], scalar()) if draw(st.booleans()) else t
+
+    return kind, ragged(tree(depth)), ragged(tree(depth)), scalar()
+
+
+def build(cls, t):
+    return cls(build(cls, t[0]), build(cls, t[1])) if isinstance(t, tuple) else t
+
+
+class TestUnrolledDualOperators:
+    @settings(max_examples=150)
+    @given(dual_operands(), st.integers(0, 40))
+    def test_same_slots_as_the_recursion(self, operands, shift):
+        kind, a, b, c = operands
+        with mpmath.workprec(80):
+            for cls in (Dual, RecursiveDual):
+                x, y = build(cls, a), build(cls, b)
+                results = [x + y, x * y, x + c, c + x, x - c, x * c, c * x]
+                if isinstance(a[1], tuple) or not isinstance(b[1], tuple):
+                    results.append(x - y)  # else 0 - Dual, which has no rule
+                if kind == "int":
+                    results.append(x >> shift)
+                if cls is Dual:
+                    got = [shape(r) for r in results]
+            assert got == [shape(r) for r in results]
+
+
 _small_fraction = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 

@@ -48,6 +48,69 @@ class TestDeriveWeights:
             assert derive_weights(CUBIC, scaled.eigenvalues) == scaled.weights
 
 
+class CountingFraction(F):
+    """A Fraction that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        CountingFraction.products += 1
+        return F(self) * other
+
+    __rmul__ = __mul__
+
+
+def exponent_vectors(rng, width, degree):
+    """A random exponent vector of the given degree in width variables."""
+    vec = [0] * width
+    for _ in range(degree):
+        vec[rng.randrange(width)] += 1
+    return tuple(vec)
+
+
+class TestDeriveWeightsCost:
+    """derive_weights sums over the nonzero exponents of each monomial only."""
+
+    def test_equals_the_dense_sum(self):
+        rng = random.Random(28)
+        for _ in range(30):
+            n = rng.randint(2, 12)
+            degrees = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+            n = max(n, sum(degrees))
+            lam = [F(rng.randint(-2, 2), rng.choice([1, 2, 3])) for _ in range(n + 1)]
+
+            def dense(mono):
+                return sum(a * x for a, x in zip(mono, lam))
+
+            supports = []
+            for d in degrees:
+                # monomials of equal dense weight make a consistent support
+                monos = [exponent_vectors(rng, n + 1, d) for _ in range(12)]
+                target = dense(monos[0])
+                supports.append([list(m) for m in monos if dense(m) == target])
+            ci = CompleteIntersectionSpec.create(n, degrees, supports)
+            assert derive_weights(ci, lam) == tuple(
+                dense(sup[0]) for sup in ci.supports)
+            # one monomial of another weight is refused at its support
+            bad = [list(sup) for sup in supports]
+            extra = next(m for m in (exponent_vectors(rng, n + 1, degrees[-1])
+                                     for _ in range(1000))
+                         if dense(m) != dense(bad[-1][0]))
+            bad[-1].append(list(extra))
+            with pytest.raises(InconsistentWeights) as err:
+                derive_weights(CompleteIntersectionSpec.create(n, degrees, bad), lam)
+            assert err.value.index == len(degrees) - 1
+
+    def test_products_at_most_monomials_times_degree(self):
+        rng = random.Random(5)
+        n, d = 40, 3
+        support = sorted({exponent_vectors(rng, n + 1, d) for _ in range(200)})
+        ci = CompleteIntersectionSpec.create(n, [d], [[list(m) for m in support]])
+        CountingFraction.products = 0
+        assert derive_weights(ci, [CountingFraction(0)] * (n + 1)) == (0,)
+        assert 0 < CountingFraction.products <= len(support) * d
+
+
 class TestValidate:
     def test_cubic_ok(self):
         assert CUBIC.fano_index == 1

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from modfutaki import (CompleteIntersectionSpec, DiagonalField, ExpPoly,
                        LaurentPoly, i0l_symbolic, localization,
                        verify_recursion)
-from modfutaki.exactalg import Dual, PrecisionNotReached, _to_mpf, primal
+from modfutaki.exactalg import (Dual, PrecisionNotReached, _to_mpf, primal,
+                                slotwise)
 from modfutaki.futaki import f_numeric
 from modfutaki.localization import (_dd_numeric_multi, _dd_pow_exp_all,
-                                    _moment_coefficient,
-                                    expand_equivariant_product, mixed_integral)
+                                    _expm_last_column, _moment_coefficient,
+                                    _taylor_degree, expand_equivariant_product,
+                                    mixed_integral)
 
 from conftest import (CUBIC, CUBIC_FIELD, CUBIC_I00, CUBIC_I01, QUADRICS,
                       QUADRICS_FIELD, QUADRICS_I00, QUADRICS_I01, QUADRICS_I02,
@@ -595,6 +597,151 @@ class TestIntegerKernelAgainstOracle:
         for field in (CUBIC_FIELD, QUADRICS_FIELD):
             assert_same_as_oracle(3, 1, field.eigenvalues, None)
             assert_same_as_oracle(3, 1, field.eigenvalues, field.eigenvalues)
+
+
+# The bidiagonal kernel as it stood with its set-up in mpf (a halving loop
+# for sigma, an mpf loop for the Taylor degree, ldexp conversions), kept as
+# the reference that the integer set-up must match bit for bit.
+def mpf_setup_kernel(diag, sup, precision_bits):
+    def mag(x):
+        return mag(x.value) + mag(x.derivative) if isinstance(x, Dual) else abs(x)
+
+    n = len(diag)
+    norm = max(mag(d) + mag(sup) if i + 1 < n else mag(d)
+               for i, d in enumerate(diag))
+    sigma = 0
+    while norm > mpmath.mpf("0.5"):
+        norm = norm / 2
+        sigma += 1
+    degree = mpf_loop_degree(precision_bits)
+    word = (precision_bits + sigma + (factorial(n - 1) - 1).bit_length()
+            + (n - 1) * max(0, sigma - mpmath.frexp(sup)[1] + 1) + 16)
+
+    def fixed(x):
+        return int(mpmath.ldexp(x, word - sigma))
+
+    diag = [slotwise(fixed, d) for d in diag]
+    sup = slotwise(fixed, sup)
+    one, twice = 1 << word, 2 * word
+    out = [[one] + [0] * (n - 1 - i) for i in range(n)]
+    for j in range(degree, 0, -1):
+        inv = one // j
+        sj = sup * inv
+        out = [[(dj * row[0] >> twice) + one]
+               + [dj * row[k] + below[k - 1] * sj >> twice
+                  for k in range(1, len(row))]
+               for dj, row, below in zip([d * inv for d in diag], out,
+                                         out[1:] + [None])]
+
+    def square_entry(a, i, k):
+        row = a[i]
+        return sum((row[j - i] * a[j][k - j] for j in range(i + 1, k + 1)),
+                   row[0] * row[k - i]) >> word
+
+    for _ in range(sigma - 1):
+        out = [[square_entry(out, i, k) for k in range(i, n)] for i in range(n)]
+    if sigma:
+        column = [square_entry(out, i, n - 1) for i in range(n)]
+    else:
+        column = [row[-1] for row in out]
+    return [slotwise(lambda x: mpmath.ldexp(x, -word), c) for c in column]
+
+
+def mpf_loop_degree(precision_bits):
+    """The Taylor degree as the mpf loop found it, at the current precision."""
+    degree = 1
+    tail = mpmath.mpf(1)
+    target = mpmath.mpf(2) ** (-(precision_bits + 8))
+    while tail > target:
+        degree += 1
+        tail = 2 * mpmath.mpf(2) ** (-(degree + 1)) / factorial(degree + 1)
+    return degree
+
+
+def mpf_slots(x):
+    return mpf_slots(x.value) + mpf_slots(x.derivative) \
+        if isinstance(x, Dual) else [x._mpf_]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Bidiagonal kernel inputs: depth 0-2, n 1-9, 20-600 bits.
+
+    Every slot is a small rational scaled by 2^-shrink, so a large shrink
+    gives sigma = 0; zero slots and nodes, and negative and fractional sup,
+    are all drawn.
+    """
+    depth, n = draw(st.integers(0, 2)), draw(st.integers(1, 9))
+    bits, shrink = draw(st.integers(20, 600)), draw(st.integers(0, 12))
+
+    def rational():
+        return F(draw(st.integers(-40, 40)), draw(st.integers(1, 9))) / 2 ** shrink
+
+    def entry(level):
+        if level == 0:
+            return rational()
+        return Dual(entry(level - 1), entry(level - 1))
+
+    sup = F(draw(st.integers(-20, 20).filter(bool)), draw(st.integers(1, 7)))
+    return [entry(depth) for _ in range(n)], sup / 2 ** shrink, bits
+
+
+class TestKernelSetUp:
+    """The integer set-up of _expm_last_column gives the mpf set-up's bits."""
+
+    @settings(max_examples=60)
+    @given(kernel_inputs())
+    def test_same_bits_as_the_mpf_set_up(self, inputs):
+        diag, sup, bits = inputs
+        with mpmath.workprec(bits):
+            diag, sup = [_to_mpf(d) for d in diag], _to_mpf(sup)
+            got = _expm_last_column(diag, sup, bits)
+            want = mpf_setup_kernel(diag, sup, bits)
+        assert [mpf_slots(x) for x in got] == [mpf_slots(x) for x in want]
+
+    @pytest.mark.parametrize("diag,sup", [
+        ([0], F(1, 4)), ([0, 0, 0], F(1, 4)), ([F(1, 8), F(-1, 8)], F(1, 4)),
+        ([0, 0], F(1, 2)), ([F(1, 2), 0], F(1, 2)), ([3, -1, 0], F(-1))])
+    def test_norm_zero_or_a_power_of_two(self, diag, sup):
+        # a row-sum norm of at most 1/2 (zero too) takes no squaring, and
+        # one of 2^k takes k + 1: the edges of the halving loop
+        with mpmath.workprec(64):
+            diag, sup = [_to_mpf(d) for d in diag], _to_mpf(sup)
+            got = _expm_last_column(diag, sup, 64)
+            assert [x._mpf_ for x in got] == \
+                [x._mpf_ for x in mpf_setup_kernel(diag, sup, 64)]
+
+    @pytest.mark.parametrize("diag", [
+        [-F(1, 3) / 2 ** 40], [Dual(F(1, 5), -F(1, 3) / 2 ** 40), Dual(F(0), F(1))]])
+    def test_slots_below_the_word_truncate_toward_zero(self, diag):
+        # a slot finer than 2^-(W - sigma) loses its low bits on entry,
+        # rounded toward zero as int() rounds, also when it is negative
+        with mpmath.workprec(64):
+            diag, sup = [_to_mpf(d) for d in diag], _to_mpf(F(1))
+            got = _expm_last_column(diag, sup, 64)
+            assert [mpf_slots(x) for x in got] == \
+                [mpf_slots(x) for x in mpf_setup_kernel(diag, sup, 64)]
+
+    def test_degree_rule_matches_the_mpf_loop(self):
+        # every p up to 1200, at p bits as the kernel ran the loop, except
+        # p = 3: there 2^-4/5! rounds to 3 bits as 2^-11, the target itself,
+        # and the loop stopped one degree early
+        for p in range(1, 1201):
+            with mpmath.workprec(p):
+                assert _taylor_degree(p) == mpf_loop_degree(p) + (p == 3), p
+        # and p - 1, p, p + 1 at each change of degree up to 4200. The loop's
+        # rounded tails never increase (the exact ones fall and rounding is
+        # monotone), so it stops at d exactly when its test fails at d and
+        # holds at d - 1; those two tests are the loop's own expressions
+        changes = [p for p in range(1201, 4201)
+                   if _taylor_degree(p) != _taylor_degree(p - 1)]
+        for p in sorted({q + e for q in changes for e in (-1, 0, 1)}):
+            d = _taylor_degree(p)
+            with mpmath.workprec(p):
+                target = mpmath.mpf(2) ** (-(p + 8))
+                tail = [2 * mpmath.mpf(2) ** (-(k + 1)) / factorial(k + 1)
+                        for k in (d - 1, d)]
+                assert tail[0] > target >= tail[1], p
 
 
 class TestIntersectionLevels:

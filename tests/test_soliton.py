@@ -310,9 +310,11 @@ class TestExactHessian:
         for point in ([F(0)] * r, [F(float(c)) for c in result.coefficients]):
             with mpmath.workprec(self.BITS + 32):
                 coords = [_to_mpf(c) for c in point]
+                basis = [[_to_mpf(x) for x in vec] for vec in torus.basis]
+                weights = [[_to_mpf(x) for x in beta] for beta in betas]
                 value, grad, diagonal = soliton_mod._derivatives(
-                    ci, torus, betas, coords, self.BITS)
-                hess = soliton_mod._hessian(ci, torus, betas, coords,
+                    ci, basis, weights, coords, self.BITS)
+                hess = soliton_mod._hessian(ci, basis, weights, coords,
                                             diagonal, self.BITS)
                 for i in range(r):
                     for j in range(i + 1, r):
@@ -321,7 +323,7 @@ class TestExactHessian:
                                        Dual(one if k == i else zero, zero))
                                   for k, c in enumerate(coords)]
                         swapped = f_numeric(
-                            ci, *soliton_mod._field(torus, betas, seeded),
+                            ci, *soliton_mod._field(basis, weights, seeded),
                             self.BITS).derivative.derivative
                         assert abs(swapped - hess[i, j]) <= rel * abs(hess[i, j])
             mpmath.cholesky(-hess)  # raises unless -H is positive definite

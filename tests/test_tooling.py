@@ -6,6 +6,7 @@ import dis
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 import types
 from pathlib import Path
@@ -181,3 +182,71 @@ class TestBenchPairsSummary:
         pairs = load_bench_pairs()
         assert pairs.summarize(self.PARENT, change, "higher")["gain_rule_holds"]
         assert not pairs.summarize(self.PARENT, change, "lower")["wins"]
+
+
+class TestBenchPairsRecord:
+    """The JSON record of scripts/bench_pairs.py --out, from made-up runs."""
+
+    METRICS = ("batch_s", "job_p50_s", "setup_s", "peak_rss_mb")
+
+    @staticmethod
+    def made(workload, seeds, parent, change):
+        """(side, result) as run_once returns them, parent first in even pairs."""
+        env = {"python": "3.11.7", "mpmath": "1.3.0",
+               "mpmath_backend": "python", "nproc": 2}
+        out = []
+        for i, seed in enumerate(seeds):
+            sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in sides:
+                value = (parent if side == "parent" else change)[i]
+                out.append((side, {
+                    "correct": True, "attempted": 100 + i, "failed": 0,
+                    "metrics": {m: {"value": value, "unit": "s"} for m in
+                                TestBenchPairsRecord.METRICS},
+                    "wall_s": 20.0 + i,
+                    "record": {"workload": workload, "seed": seed,
+                               "environment": env, "rounds": 3}}))
+        return out
+
+    def write(self, pairs, path, workload, parent, change):
+        seeds = range(11, 11 + len(parent))
+        made = self.made(workload, seeds, parent, change)
+        summaries = {m: ("lower", pairs.summarize(parent, change, "lower"))
+                     for m in self.METRICS}
+        pairs.write_record(path, workload, seeds, made, summaries)
+        return json.loads(path.read_text())
+
+    def test_shape_of_bench_13(self, tmp_path):
+        pairs = load_bench_pairs()
+        path = tmp_path / "BENCH.json"
+        parent = [1.0, 1.2, 0.9, 1.1]
+        record = self.write(pairs, path, "soliton", parent, [x - 0.5 for x in parent])
+        assert set(record) == {"description", "machine", "summary", "runs"}
+        assert record["machine"]["nproc"] == 2
+        summary = record["summary"]["soliton"]
+        assert summary["pairs"] == 4 and summary["seeds"] == [11, 12, 13, 14]
+        assert summary["attempted"] == {"parent": 406, "change": 406}
+        assert summary["failed"] == {"parent": 0, "change": 0}
+        assert summary["correct"] is True
+        batch = summary["batch_s"]
+        assert batch["parent"]["median"] == pytest.approx(1.05)
+        assert batch["change"]["median"] == pytest.approx(0.55)
+        assert batch["parent"]["q1"] <= batch["parent"]["median"] <= batch["parent"]["q3"]
+        assert batch["change_lower_in_pairs"] == 4
+        assert [(r["order"], r["side"], r["seed"]) for r in record["runs"]] == [
+            (0, "parent", 11), (1, "change", 11), (2, "change", 12),
+            (3, "parent", 12), (4, "parent", 13), (5, "change", 13),
+            (6, "change", 14), (7, "parent", 14)]
+        assert record["runs"][0]["result"]["rounds"] == 3
+
+    def test_workloads_share_one_file(self, tmp_path):
+        pairs = load_bench_pairs()
+        path = tmp_path / "BENCH.json"
+        self.write(pairs, path, "soliton", [1.0, 1.1], [0.9, 1.0])
+        self.write(pairs, path, "exact", [2.0, 2.1], [2.0, 2.2])
+        # running a workload again replaces its runs and its summary
+        record = self.write(pairs, path, "soliton", [1.0, 1.1, 1.2], [1.0, 1.0, 1.0])
+        assert set(record["summary"]) == {"soliton", "exact"}
+        assert record["summary"]["soliton"]["pairs"] == 3
+        assert [r["workload"] for r in record["runs"]] == ["exact"] * 4 + ["soliton"] * 6
+        assert [r["order"] for r in record["runs"]] == list(range(10))
